@@ -15,6 +15,10 @@
 //!   pre-resolved `Sym → slot` list, so runtime evaluation reads slots
 //!   directly; fully-constant index functions are evaluated **now** and
 //!   their [`AccessClass`] recorded in the plan;
+//! - scalar expressions lower to flat, typed register [`Op`]s: operand
+//!   types, the promotion rule and coercions are resolved here, so the
+//!   executor walks no expression trees and picks no operation at run
+//!   time;
 //! - kernel names resolve to dense registry indices once;
 //! - the compiler's [`ReleasePlan`] is fused into the stream as explicit
 //!   [`Instr::Release`] instructions — no per-run `ReleasePlan::compute`;
@@ -30,8 +34,8 @@ use crate::kernel::KernelRegistry;
 use crate::value::Value;
 use arraymem_core::{CircuitCheck, MergeRecord, ParLevel, ParSafetyRecord, ReleasePlan};
 use arraymem_ir::{
-    Block, Constant, ElemType, Exp, MapBody, PatElem, Program, ScalarExp, SliceSpec, Stm, Type,
-    UpdateSrc, Var,
+    BinOp, Block, Constant, ElemType, Exp, MapBody, PatElem, Program, ScalarExp, SliceSpec, Stm,
+    Type, UnOp, UpdateSrc, Var,
 };
 use arraymem_lmad::concrete::AccessClass;
 use arraymem_lmad::{ConcreteIxFn, IndexFn, Lmad, Transform, TripletSlice};
@@ -116,16 +120,176 @@ impl LoweredIxFn {
     }
 }
 
-/// A lowered scalar expression: operands are slots, never names.
+/// A lowered scalar expression: flat, typed register [`Op`]s that leave
+/// the value in `slot`. `eval_bin`-style promotion and coercion are
+/// resolved here, from the IR's types, so the executor never inspects
+/// operand variants to pick an operation. `text` renders the source tree
+/// for [`ExecPlan::pretty`].
 #[derive(Clone, Debug)]
-pub(crate) enum LExp {
-    Const(Value),
-    Slot(Slot),
-    Size(SlotPoly),
-    Bin(arraymem_ir::BinOp, Box<LExp>, Box<LExp>),
-    Un(arraymem_ir::UnOp, Box<LExp>),
-    Index { arr: Slot, idx: Vec<LExp> },
-    Select(Box<LExp>, Box<LExp>, Box<LExp>),
+pub(crate) struct LExp {
+    pub ops: Box<[Op]>,
+    pub slot: Slot,
+    text: String,
+}
+
+impl LExp {
+    /// Append a following statement's ops (fusion of straight-line scalar
+    /// statements): its jump targets shift past the ops already here.
+    fn append(&mut self, next: LExp, blame: Option<Var>) {
+        let mut ops = std::mem::take(&mut self.ops).into_vec();
+        if let Some(v) = blame {
+            ops.push(Op::Blame(v));
+        }
+        let base = ops.len();
+        ops.extend(next.ops.into_vec().into_iter().map(|op| match op {
+            Op::JumpIfNot { cond, to } => Op::JumpIfNot {
+                cond,
+                to: to + base,
+            },
+            Op::Jump { to } => Op::Jump { to: to + base },
+            op => op,
+        }));
+        self.ops = ops.into();
+        self.text = format!("{}; %{} <- {}", self.text, next.slot, next.text);
+    }
+}
+
+/// Integer and floating-point arithmetic (`Div`/`Rem` are Euclidean on
+/// integers, as in the IR's semantics).
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Arith {
+    Add,
+    Sub,
+    Mul,
+    Div,
+    Rem,
+    Min,
+    Max,
+}
+
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Cmp {
+    Eq,
+    Ne,
+    Lt,
+    Le,
+}
+
+/// Floating-point unary math.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Math {
+    Neg,
+    Abs,
+    Sqrt,
+    Exp,
+    Log,
+}
+
+/// One flat register operation. Operands are slots (constants live in
+/// slots filled once per run from [`ExecPlan::consts`]); jump targets are
+/// positions within the same op list.
+#[derive(Clone, Debug)]
+pub(crate) enum Op {
+    Mov {
+        dst: Slot,
+        src: Slot,
+    },
+    Size {
+        dst: Slot,
+        p: SlotPoly,
+    },
+    ArithI64 {
+        k: Arith,
+        dst: Slot,
+        a: Slot,
+        b: Slot,
+    },
+    ArithF32 {
+        k: Arith,
+        dst: Slot,
+        a: Slot,
+        b: Slot,
+    },
+    ArithF64 {
+        k: Arith,
+        dst: Slot,
+        a: Slot,
+        b: Slot,
+    },
+    /// Integer comparison; also booleans' `Eq`/`Ne` (read as 0/1).
+    CmpI64 {
+        k: Cmp,
+        dst: Slot,
+        a: Slot,
+        b: Slot,
+    },
+    CmpF32 {
+        k: Cmp,
+        dst: Slot,
+        a: Slot,
+        b: Slot,
+    },
+    CmpF64 {
+        k: Cmp,
+        dst: Slot,
+        a: Slot,
+        b: Slot,
+    },
+    /// `And`/`Or` over integer or boolean operands (nonzero is true).
+    Logic {
+        or: bool,
+        dst: Slot,
+        a: Slot,
+        b: Slot,
+    },
+    NegI64 {
+        dst: Slot,
+        a: Slot,
+    },
+    AbsI64 {
+        dst: Slot,
+        a: Slot,
+    },
+    MathF32 {
+        k: Math,
+        dst: Slot,
+        a: Slot,
+    },
+    MathF64 {
+        k: Math,
+        dst: Slot,
+        a: Slot,
+    },
+    Not {
+        dst: Slot,
+        a: Slot,
+    },
+    /// Convert to the given scalar type.
+    Cvt {
+        to: ElemType,
+        dst: Slot,
+        a: Slot,
+    },
+    /// Point read `arr[idx...]`, addressed directly through the array's
+    /// index function.
+    Load {
+        dst: Slot,
+        arr: Slot,
+        idx: Box<[Slot]>,
+    },
+    JumpIfNot {
+        cond: Slot,
+        to: usize,
+    },
+    Jump {
+        to: usize,
+    },
+    /// The next ops belong to this statement (blame for checked-mode
+    /// diagnostics once several statements share one op list).
+    Blame(Var),
+    /// An operation the operand types do not support; fails the run when
+    /// (and only if) it executes.
+    Fail(&'static str),
 }
 
 /// Destination of a fresh array creation: the result slot plus what each
@@ -241,12 +405,9 @@ pub(crate) struct LoweredMergeCheck {
 /// One lowered instruction.
 #[derive(Clone, Debug)]
 pub(crate) enum Instr {
-    /// Evaluate a scalar expression into a slot, coercing to `elem`.
-    Scalar {
-        dst: Slot,
-        elem: Option<ElemType>,
-        exp: LExp,
-    },
+    /// Evaluate a scalar expression into its slot (coerced to the
+    /// binding's type at lower time).
+    Scalar(LExp),
     Alloc {
         dst: Slot,
         elem: ElemType,
@@ -328,7 +489,14 @@ pub(crate) enum Instr {
         cond: LExp,
         target: usize,
     },
-    /// Loop back-edge guard: jump when `regs[a] >= regs[b]`.
+    /// Loop back edge: step the index `regs[idx]` and jump back to the
+    /// body while it is below `regs[count]`.
+    LoopNext {
+        idx: Slot,
+        count: Slot,
+        target: usize,
+    },
+    /// Loop entry guard: jump when `regs[a] >= regs[b]`.
     JumpIfGe {
         a: Slot,
         b: Slot,
@@ -356,6 +524,57 @@ impl Stream {
         self.blame.push(blame);
         self.instrs.len() - 1
     }
+
+    /// Merge each run of consecutive [`Instr::Scalar`]s that no jump
+    /// enters midway into one op list: a straight-line stretch of scalar
+    /// statements then costs one dispatch. Every merged statement's blame
+    /// rides along as an [`Op::Blame`].
+    fn fuse_scalars(&mut self) {
+        let n = self.instrs.len();
+        let mut entered = vec![false; n + 1];
+        for i in &self.instrs {
+            if let Some(t) = jump_target(i) {
+                entered[t] = true;
+            }
+        }
+        let mut instrs: Vec<Instr> = Vec::with_capacity(n);
+        let mut blame = Vec::with_capacity(n);
+        let mut new_index = Vec::with_capacity(n + 1);
+        for (k, (ins, b)) in std::mem::take(&mut self.instrs)
+            .into_iter()
+            .zip(std::mem::take(&mut self.blame))
+            .enumerate()
+        {
+            match (instrs.last_mut(), ins) {
+                (Some(Instr::Scalar(prev)), Instr::Scalar(next)) if !entered[k] => {
+                    prev.append(next, b);
+                    new_index.push(instrs.len() - 1);
+                }
+                (_, ins) => {
+                    new_index.push(instrs.len());
+                    instrs.push(ins);
+                    blame.push(b);
+                }
+            }
+        }
+        new_index.push(instrs.len());
+        for i in &mut instrs {
+            if let Some(t) = jump_target(i) {
+                patch_target(i, new_index[t]);
+            }
+        }
+        self.instrs = instrs;
+        self.blame = blame;
+    }
+
+    /// A [`Instr::CopySlots`] of the non-identity pairs (none: no
+    /// instruction).
+    fn copy_slots(&mut self, pairs: impl IntoIterator<Item = (Slot, Slot)>, blame: Option<Var>) {
+        let pairs: Vec<(Slot, Slot)> = pairs.into_iter().filter(|(a, b)| a != b).collect();
+        if !pairs.is_empty() {
+            self.push(Instr::CopySlots { pairs }, blame);
+        }
+    }
 }
 
 /// A lowered program parameter.
@@ -380,6 +599,8 @@ pub struct ExecPlan {
     pub(crate) body: Stream,
     pub(crate) results: Vec<(Slot, Var)>,
     pub(crate) num_slots: u32,
+    /// Constant-pool slots, written once at the start of every run.
+    pub(crate) consts: Vec<(Slot, Value)>,
     pub(crate) num_releases: usize,
     /// Share-type merge records lowered into this plan (count stamped
     /// onto [`crate::Stats::blocks_merged`] per run).
@@ -501,6 +722,7 @@ fn build_plan_inner(
         merge_checks: Vec::new(),
         pending_carried: Vec::new(),
         skew_carried,
+        consts: Vec::new(),
     };
     let mut params = Vec::with_capacity(prog.params.len());
     for (v, ty) in &prog.params {
@@ -510,9 +732,9 @@ fn build_plan_inner(
             Type::Array { shape, .. } => shape.iter().map(|p| lw.slot_poly(p)).collect(),
             _ => Vec::new(),
         };
-        let slot = lw.scope.bind(*v);
+        let slot = lw.scope.bind(*v, ty.elem());
         let mem_slot = match ty {
-            Type::Array { .. } => Some(lw.scope.bind(param_block_sym(*v))),
+            Type::Array { .. } => Some(lw.scope.bind(param_block_sym(*v), None)),
             _ => None,
         };
         params.push(ParamSpec {
@@ -525,6 +747,7 @@ fn build_plan_inner(
     }
     let mut body = Stream::default();
     let result_slots = lw.lower_block(&prog.body, &mut body)?;
+    body.fuse_scalars();
     let results = result_slots
         .into_iter()
         .zip(&prog.body.result)
@@ -547,7 +770,8 @@ fn build_plan_inner(
         params,
         body,
         results,
-        num_slots: lw.scope.next,
+        num_slots: lw.scope.next(),
+        consts: lw.consts,
         num_releases: lw.num_releases,
         blocks_merged,
         num_colors,
@@ -562,26 +786,40 @@ pub(crate) fn param_block_sym(v: Var) -> Var {
 
 /// Name→slot scope with an undo log, so nested blocks restore the
 /// enclosing bindings on exit (value slots themselves are never reused:
-/// a branch's locals simply become unreachable).
+/// a branch's locals simply become unreachable). Each slot records the
+/// element type of its binding (`None` for memory blocks), from which
+/// scalar ops are typed.
 #[derive(Default)]
 struct Scope {
     map: HashMap<Var, Slot>,
     undo: Vec<(Var, Option<Slot>)>,
-    next: u32,
+    tys: Vec<Option<ElemType>>,
 }
 
 impl Scope {
-    fn bind(&mut self, v: Var) -> Slot {
-        let s = self.fresh();
-        let old = self.map.insert(v, s);
-        self.undo.push((v, old));
+    fn bind(&mut self, v: Var, ty: Option<ElemType>) -> Slot {
+        let s = self.fresh(ty);
+        self.name(v, s);
         s
     }
 
-    fn fresh(&mut self) -> Slot {
-        let s = self.next;
-        self.next += 1;
-        s
+    /// Bind `v` to an already-allocated slot.
+    fn name(&mut self, v: Var, s: Slot) {
+        let old = self.map.insert(v, s);
+        self.undo.push((v, old));
+    }
+
+    fn fresh(&mut self, ty: Option<ElemType>) -> Slot {
+        self.tys.push(ty);
+        self.tys.len() as Slot - 1
+    }
+
+    fn next(&self) -> u32 {
+        self.tys.len() as u32
+    }
+
+    fn ty(&self, s: Slot) -> Option<ElemType> {
+        self.tys[s as usize]
     }
 
     fn get(&self, v: Var) -> Option<Slot> {
@@ -630,6 +868,8 @@ struct Lowerer<'a> {
     /// instead of the analyzed last use, so checked mode can be shown to
     /// catch a premature release.
     skew_carried: bool,
+    /// The constant pool: one slot per distinct constant.
+    consts: Vec<(Slot, Value)>,
 }
 
 /// One carried release staged for the loop body being lowered.
@@ -689,34 +929,221 @@ impl Lowerer<'_> {
         }
     }
 
-    fn lower_exp(&mut self, e: &ScalarExp) -> Result<LExp, String> {
+    /// Static type of a scalar expression: the variant the operations
+    /// see at run time, given that every binding holds its declared type.
+    fn exp_ty(&self, e: &ScalarExp) -> Result<ElemType, String> {
         Ok(match e {
-            ScalarExp::Const(c) => LExp::Const(match c {
-                Constant::F32(x) => Value::F32(*x),
-                Constant::F64(x) => Value::F64(*x),
-                Constant::I64(x) => Value::I64(*x),
-                Constant::Bool(x) => Value::Bool(*x),
-            }),
-            ScalarExp::Var(v) => LExp::Slot(self.resolve(*v)?),
-            ScalarExp::Size(p) => LExp::Size(self.slot_poly(p)),
-            ScalarExp::Bin(op, a, b) => LExp::Bin(
-                *op,
-                Box::new(self.lower_exp(a)?),
-                Box::new(self.lower_exp(b)?),
-            ),
-            ScalarExp::Un(op, a) => LExp::Un(*op, Box::new(self.lower_exp(a)?)),
-            ScalarExp::Index(v, idx) => LExp::Index {
-                arr: self.resolve(*v)?,
-                idx: idx
-                    .iter()
-                    .map(|i| self.lower_exp(i))
-                    .collect::<Result<_, _>>()?,
-            },
-            ScalarExp::Select(c, t, f) => LExp::Select(
-                Box::new(self.lower_exp(c)?),
-                Box::new(self.lower_exp(t)?),
-                Box::new(self.lower_exp(f)?),
-            ),
+            ScalarExp::Const(c) => c.elem_type(),
+            ScalarExp::Var(v) | ScalarExp::Index(v, _) => self.slot_ty(self.resolve(*v)?),
+            ScalarExp::Size(_) => ElemType::I64,
+            ScalarExp::Bin(op, a, b) => {
+                let t = promote(self.exp_ty(a)?, self.exp_ty(b)?);
+                match op {
+                    BinOp::Add
+                    | BinOp::Sub
+                    | BinOp::Mul
+                    | BinOp::Div
+                    | BinOp::Rem
+                    | BinOp::Min
+                    | BinOp::Max => t,
+                    _ => ElemType::Bool,
+                }
+            }
+            ScalarExp::Un(op, a) => {
+                let t = self.exp_ty(a)?;
+                match op {
+                    UnOp::Neg | UnOp::Abs => t,
+                    UnOp::Not => ElemType::Bool,
+                    UnOp::Sqrt | UnOp::Exp | UnOp::Log if t == ElemType::F64 => ElemType::F64,
+                    UnOp::Sqrt | UnOp::Exp | UnOp::Log | UnOp::ToF32 => ElemType::F32,
+                    UnOp::ToF64 => ElemType::F64,
+                    UnOp::ToI64 => ElemType::I64,
+                }
+            }
+            ScalarExp::Select(_, t, f) => {
+                let (t, f) = (self.exp_ty(t)?, self.exp_ty(f)?);
+                if t == f {
+                    t
+                } else {
+                    promote(t, f)
+                }
+            }
+        })
+    }
+
+    fn slot_ty(&self, s: Slot) -> ElemType {
+        self.scope.ty(s).unwrap_or(ElemType::I64)
+    }
+
+    /// The constant pool slot holding `v` (one per distinct constant).
+    fn const_slot(&mut self, v: Value) -> Slot {
+        let same = |c: &Value| match (c, &v) {
+            (Value::F32(a), Value::F32(b)) => a.to_bits() == b.to_bits(),
+            (Value::F64(a), Value::F64(b)) => a.to_bits() == b.to_bits(),
+            (Value::I64(a), Value::I64(b)) => a == b,
+            (Value::Bool(a), Value::Bool(b)) => a == b,
+            _ => false,
+        };
+        if let Some((s, _)) = self.consts.iter().find(|(_, c)| same(c)) {
+            return *s;
+        }
+        let s = self.scope.fresh(Some(scalar_elem(&v)));
+        self.consts.push((s, v));
+        s
+    }
+
+    /// A scalar expression whose value lands in whatever slot is handy: a
+    /// variable or constant is read in place, anything else is computed
+    /// into a fresh temporary.
+    fn lower_exp(&mut self, e: &ScalarExp) -> Result<LExp, String> {
+        let mut ops = Vec::new();
+        let (slot, text) = self.operand(e, &mut ops)?;
+        Ok(LExp {
+            ops: ops.into(),
+            slot,
+            text,
+        })
+    }
+
+    /// A scalar expression computed into `dst`, converted to `want`.
+    fn lower_exp_into(
+        &mut self,
+        e: &ScalarExp,
+        dst: Slot,
+        want: Option<ElemType>,
+    ) -> Result<LExp, String> {
+        let mut ops = Vec::new();
+        let text = self.lower_to(e, dst, want, &mut ops)?;
+        Ok(LExp {
+            ops: ops.into(),
+            slot: dst,
+            text,
+        })
+    }
+
+    fn lower_to(
+        &mut self,
+        e: &ScalarExp,
+        dst: Slot,
+        want: Option<ElemType>,
+        ops: &mut Vec<Op>,
+    ) -> Result<String, String> {
+        let ty = self.exp_ty(e)?;
+        match want {
+            Some(w) if w != ty => {
+                let (a, text) = self.operand(e, ops)?;
+                ops.push(if w == ElemType::Bool && is_float(ty) {
+                    Op::Fail("not a bool")
+                } else {
+                    Op::Cvt { to: w, dst, a }
+                });
+                Ok(text)
+            }
+            _ => self.lower_node(e, dst, ops),
+        }
+    }
+
+    fn operand(&mut self, e: &ScalarExp, ops: &mut Vec<Op>) -> Result<(Slot, String), String> {
+        Ok(match e {
+            ScalarExp::Var(v) => {
+                let s = self.resolve(*v)?;
+                (s, format!("%{s}"))
+            }
+            ScalarExp::Const(c) => {
+                let v = match c {
+                    Constant::F32(x) => Value::F32(*x),
+                    Constant::F64(x) => Value::F64(*x),
+                    Constant::I64(x) => Value::I64(*x),
+                    Constant::Bool(x) => Value::Bool(*x),
+                };
+                let text = format!("{v:?}");
+                (self.const_slot(v), text)
+            }
+            _ => {
+                let dst = self.scope.fresh(Some(self.exp_ty(e)?));
+                (dst, self.lower_node(e, dst, ops)?)
+            }
+        })
+    }
+
+    /// Evaluate a size polynomial into `dst` (a constant one is a move
+    /// from the pool).
+    fn size_into(&mut self, p: SlotPoly, dst: Slot, ops: &mut Vec<Op>) -> String {
+        let text = format!("size({:?})", p.poly);
+        match p.konst {
+            Some(k) => {
+                let src = self.const_slot(Value::I64(k));
+                ops.push(Op::Mov { dst, src });
+            }
+            None => ops.push(Op::Size { dst, p }),
+        }
+        text
+    }
+
+    /// Emit the ops computing `e` (in its own type) into `dst`.
+    fn lower_node(
+        &mut self,
+        e: &ScalarExp,
+        dst: Slot,
+        ops: &mut Vec<Op>,
+    ) -> Result<String, String> {
+        Ok(match e {
+            ScalarExp::Var(_) | ScalarExp::Const(_) => {
+                let (src, text) = self.operand(e, ops)?;
+                ops.push(Op::Mov { dst, src });
+                text
+            }
+            ScalarExp::Size(p) => {
+                let sp = self.slot_poly(p);
+                self.size_into(sp, dst, ops)
+            }
+            ScalarExp::Bin(op, a, b) => {
+                let t = promote(self.exp_ty(a)?, self.exp_ty(b)?);
+                let (a_s, xa) = self.operand(a, ops)?;
+                let (b_s, xb) = self.operand(b, ops)?;
+                ops.push(bin_op(*op, t, dst, a_s, b_s));
+                format!("({xa} {op:?} {xb})")
+            }
+            ScalarExp::Un(op, a) => {
+                let t = self.exp_ty(a)?;
+                let (a_s, xa) = self.operand(a, ops)?;
+                ops.push(un_op(*op, t, dst, a_s));
+                format!("{op:?}({xa})")
+            }
+            ScalarExp::Index(v, idx) => {
+                let arr = self.resolve(*v)?;
+                let mut slots = Vec::with_capacity(idx.len());
+                let mut texts = Vec::with_capacity(idx.len());
+                for i in idx {
+                    let (s, x) = self.operand(i, ops)?;
+                    slots.push(s);
+                    texts.push(x);
+                }
+                ops.push(Op::Load {
+                    dst,
+                    arr,
+                    idx: slots.into(),
+                });
+                format!("%{arr}[{}]", texts.join(", "))
+            }
+            ScalarExp::Select(c, t, f) => {
+                // Only the chosen branch runs (its reads may be out of
+                // bounds, or unwritten, when not chosen).
+                let ty = self.exp_ty(e)?;
+                let (cond, xc) = self.operand(c, ops)?;
+                let jif = ops.len();
+                ops.push(Op::JumpIfNot { cond, to: 0 });
+                let xt = self.lower_to(t, dst, Some(ty), ops)?;
+                let jend = ops.len();
+                ops.push(Op::Jump { to: 0 });
+                ops[jif] = Op::JumpIfNot {
+                    cond,
+                    to: ops.len(),
+                };
+                let xf = self.lower_to(f, dst, Some(ty), ops)?;
+                ops[jend] = Op::Jump { to: ops.len() };
+                format!("select({xc}, {xt}, {xf})")
+            }
         })
     }
 
@@ -731,7 +1158,7 @@ impl Lowerer<'_> {
             block_var: mb.block,
             ixfn: self.lower_ixfn(&mb.ixfn),
         });
-        let slot = self.scope.bind(pe.var);
+        let slot = self.scope.bind(pe.var, Some(elem));
         Ok(Dest {
             slot,
             var: pe.var,
@@ -854,13 +1281,16 @@ impl Lowerer<'_> {
         let blame = stm.pat.first().map(|p| p.var);
         match &stm.exp {
             Exp::Scalar(se) => {
-                let exp = self.lower_exp(se)?;
                 let elem = match &stm.pat[0].ty {
                     Type::Scalar(e) => Some(*e),
                     _ => None,
                 };
-                let dst = self.scope.bind(stm.pat[0].var);
-                out.push(Instr::Scalar { dst, elem, exp }, blame);
+                // The expression reads the enclosing scope; the name binds
+                // after it.
+                let dst = self.scope.fresh(elem);
+                let exp = self.lower_exp_into(se, dst, elem)?;
+                self.scope.name(stm.pat[0].var, dst);
+                out.push(Instr::Scalar(exp), blame);
             }
             Exp::Alloc { elem, size } => {
                 let size = self.slot_poly(size);
@@ -869,7 +1299,7 @@ impl Lowerer<'_> {
                     .iter()
                     .find(|pc| pc.yield_mem == stm.pat[0].var)
                     .map(|pc| pc.color);
-                let dst = self.scope.bind(stm.pat[0].var);
+                let dst = self.scope.bind(stm.pat[0].var, None);
                 out.push(
                     Instr::Alloc {
                         dst,
@@ -984,32 +1414,19 @@ impl Lowerer<'_> {
                 else_b,
             } => {
                 let cond = self.lower_exp(cond)?;
-                let pat_slots: Vec<Slot> =
-                    stm.pat.iter().map(|pe| self.scope.bind(pe.var)).collect();
+                let pat_slots: Vec<Slot> = stm
+                    .pat
+                    .iter()
+                    .map(|pe| self.scope.bind(pe.var, pe.ty.elem()))
+                    .collect();
                 let jif = out.push(Instr::JumpIfFalse { cond, target: 0 }, blame);
                 let then_res = self.lower_block(then_b, out)?;
-                out.push(
-                    Instr::CopySlots {
-                        pairs: then_res
-                            .into_iter()
-                            .zip(pat_slots.iter().copied())
-                            .collect(),
-                    },
-                    blame,
-                );
+                out.copy_slots(then_res.into_iter().zip(pat_slots.iter().copied()), blame);
                 let jend = out.push(Instr::Jump { target: 0 }, blame);
                 let else_start = out.instrs.len();
                 patch_target(&mut out.instrs[jif], else_start);
                 let else_res = self.lower_block(else_b, out)?;
-                out.push(
-                    Instr::CopySlots {
-                        pairs: else_res
-                            .into_iter()
-                            .zip(pat_slots.iter().copied())
-                            .collect(),
-                    },
-                    blame,
-                );
+                out.copy_slots(else_res.into_iter().zip(pat_slots.iter().copied()), blame);
                 let end = out.instrs.len();
                 patch_target(&mut out.instrs[jend], end);
             }
@@ -1026,35 +1443,26 @@ impl Lowerer<'_> {
                     .map(|v| self.resolve(*v))
                     .collect::<Result<Vec<_>, _>>()?;
                 let mark = self.scope.mark();
-                let param_slots: Vec<Slot> =
-                    params.iter().map(|pp| self.scope.bind(pp.var)).collect();
-                let idx_slot = self.scope.bind(*index);
-                let count_slot = self.scope.fresh();
-                out.push(
-                    Instr::CopySlots {
-                        pairs: init_slots
-                            .into_iter()
-                            .zip(param_slots.iter().copied())
-                            .collect(),
-                    },
+                let param_slots: Vec<Slot> = params
+                    .iter()
+                    .map(|pp| self.scope.bind(pp.var, pp.ty.elem()))
+                    .collect();
+                let idx_slot = self.scope.bind(*index, Some(ElemType::I64));
+                let count_slot = self.scope.fresh(Some(ElemType::I64));
+                out.copy_slots(
+                    init_slots.into_iter().zip(param_slots.iter().copied()),
                     blame,
                 );
-                out.push(
-                    Instr::Scalar {
-                        dst: count_slot,
-                        elem: None,
-                        exp: LExp::Size(count),
-                    },
-                    blame,
-                );
-                out.push(
-                    Instr::Scalar {
-                        dst: idx_slot,
-                        elem: None,
-                        exp: LExp::Const(Value::I64(0)),
-                    },
-                    blame,
-                );
+                let mut ops = Vec::new();
+                let text = self.size_into(count, count_slot, &mut ops);
+                let count = LExp {
+                    ops: ops.into(),
+                    slot: count_slot,
+                    text,
+                };
+                out.push(Instr::Scalar(count), blame);
+                let zero = self.lower_exp_into(&ScalarExp::i64(0), idx_slot, None)?;
+                out.push(Instr::Scalar(zero), blame);
                 let head = out.instrs.len();
                 let jge = out.push(
                     Instr::JumpIfGe {
@@ -1098,41 +1506,26 @@ impl Lowerer<'_> {
                 let saved = std::mem::replace(&mut self.pending_carried, pending);
                 let body_res = self.lower_block(body, out)?;
                 self.pending_carried = saved;
+                out.copy_slots(body_res.into_iter().zip(param_slots.iter().copied()), blame);
                 out.push(
-                    Instr::CopySlots {
-                        pairs: body_res
-                            .into_iter()
-                            .zip(param_slots.iter().copied())
-                            .collect(),
+                    Instr::LoopNext {
+                        idx: idx_slot,
+                        count: count_slot,
+                        target: head + 1,
                     },
                     blame,
                 );
-                out.push(
-                    Instr::Scalar {
-                        dst: idx_slot,
-                        elem: None,
-                        exp: LExp::Bin(
-                            arraymem_ir::BinOp::Add,
-                            Box::new(LExp::Slot(idx_slot)),
-                            Box::new(LExp::Const(Value::I64(1))),
-                        ),
-                    },
-                    blame,
-                );
-                out.push(Instr::Jump { target: head }, blame);
                 let end = out.instrs.len();
                 patch_target(&mut out.instrs[jge], end);
                 // The merge parameters' final values become the pattern's.
                 let final_params = param_slots.clone();
                 self.scope.reset(mark);
-                let pat_slots: Vec<Slot> =
-                    stm.pat.iter().map(|pe| self.scope.bind(pe.var)).collect();
-                out.push(
-                    Instr::CopySlots {
-                        pairs: final_params.into_iter().zip(pat_slots).collect(),
-                    },
-                    blame,
-                );
+                let pat_slots: Vec<Slot> = stm
+                    .pat
+                    .iter()
+                    .map(|pe| self.scope.bind(pe.var, pe.ty.elem()))
+                    .collect();
+                out.copy_slots(final_params.into_iter().zip(pat_slots), blame);
             }
         }
         Ok(())
@@ -1183,10 +1576,13 @@ impl Lowerer<'_> {
             }
             MapBody::Lambda { params, body } => {
                 let mark = self.scope.mark();
-                let param_slots: Vec<Slot> =
-                    params.iter().map(|(p, _)| self.scope.bind(*p)).collect();
+                let param_slots: Vec<Slot> = params
+                    .iter()
+                    .map(|(p, ty)| self.scope.bind(*p, ty.elem()))
+                    .collect();
                 let mut body_stream = Stream::default();
                 let results = self.lower_block(body, &mut body_stream)?;
+                body_stream.fuse_scalars();
                 self.scope.reset(mark);
                 let dests = stm
                     .pat
@@ -1215,8 +1611,125 @@ fn patch_target(i: &mut Instr, t: usize) {
     match i {
         Instr::Jump { target }
         | Instr::JumpIfFalse { target, .. }
-        | Instr::JumpIfGe { target, .. } => *target = t,
+        | Instr::JumpIfGe { target, .. }
+        | Instr::LoopNext { target, .. } => *target = t,
         _ => unreachable!("patching a non-jump"),
+    }
+}
+
+fn jump_target(i: &Instr) -> Option<usize> {
+    match i {
+        Instr::Jump { target }
+        | Instr::JumpIfFalse { target, .. }
+        | Instr::JumpIfGe { target, .. }
+        | Instr::LoopNext { target, .. } => Some(*target),
+        _ => None,
+    }
+}
+
+fn is_float(t: ElemType) -> bool {
+    matches!(t, ElemType::F32 | ElemType::F64)
+}
+
+fn scalar_elem(v: &Value) -> ElemType {
+    match v {
+        Value::F32(_) => ElemType::F32,
+        Value::F64(_) => ElemType::F64,
+        Value::Bool(_) => ElemType::Bool,
+        _ => ElemType::I64,
+    }
+}
+
+/// The binary-operator promotion rule: any `f32` operand makes the
+/// operation `f32`, else any `f64` makes it `f64`; two booleans stay
+/// boolean; everything else is integer.
+fn promote(a: ElemType, b: ElemType) -> ElemType {
+    use ElemType::*;
+    if a == F32 || b == F32 {
+        F32
+    } else if a == F64 || b == F64 {
+        F64
+    } else if a == Bool && b == Bool {
+        Bool
+    } else {
+        I64
+    }
+}
+
+/// The op for `a op b` on operands promoted to `t`.
+fn bin_op(op: BinOp, t: ElemType, dst: Slot, a: Slot, b: Slot) -> Op {
+    let arith = |k| match t {
+        ElemType::F32 => Op::ArithF32 { k, dst, a, b },
+        ElemType::F64 => Op::ArithF64 { k, dst, a, b },
+        ElemType::I64 => Op::ArithI64 { k, dst, a, b },
+        ElemType::Bool => Op::Fail("arithmetic on booleans"),
+    };
+    let cmp = |k| match t {
+        ElemType::F32 => Op::CmpF32 { k, dst, a, b },
+        ElemType::F64 => Op::CmpF64 { k, dst, a, b },
+        ElemType::I64 => Op::CmpI64 { k, dst, a, b },
+        ElemType::Bool => match k {
+            Cmp::Eq | Cmp::Ne => Op::CmpI64 { k, dst, a, b },
+            Cmp::Lt | Cmp::Le => Op::Fail("arithmetic on booleans"),
+        },
+    };
+    match op {
+        BinOp::Add => arith(Arith::Add),
+        BinOp::Sub => arith(Arith::Sub),
+        BinOp::Mul => arith(Arith::Mul),
+        BinOp::Div => arith(Arith::Div),
+        BinOp::Rem => arith(Arith::Rem),
+        BinOp::Min => arith(Arith::Min),
+        BinOp::Max => arith(Arith::Max),
+        BinOp::Eq => cmp(Cmp::Eq),
+        BinOp::Ne => cmp(Cmp::Ne),
+        BinOp::Lt => cmp(Cmp::Lt),
+        BinOp::Le => cmp(Cmp::Le),
+        BinOp::And | BinOp::Or if is_float(t) => Op::Fail("boolean op on floats"),
+        BinOp::And | BinOp::Or => Op::Logic {
+            or: op == BinOp::Or,
+            dst,
+            a,
+            b,
+        },
+    }
+}
+
+/// The op for `op a` on an operand of type `t`.
+fn un_op(op: UnOp, t: ElemType, dst: Slot, a: Slot) -> Op {
+    let signed = |k, int, err| match t {
+        ElemType::F32 => Op::MathF32 { k, dst, a },
+        ElemType::F64 => Op::MathF64 { k, dst, a },
+        ElemType::I64 => int,
+        ElemType::Bool => Op::Fail(err),
+    };
+    let float = |k| match t {
+        ElemType::F64 => Op::MathF64 { k, dst, a },
+        _ => Op::MathF32 { k, dst, a },
+    };
+    match op {
+        UnOp::Neg => signed(Math::Neg, Op::NegI64 { dst, a }, "neg on non-number"),
+        UnOp::Abs => signed(Math::Abs, Op::AbsI64 { dst, a }, "abs on non-number"),
+        UnOp::Not if is_float(t) => Op::Fail("not a bool"),
+        UnOp::Not => Op::Not { dst, a },
+        UnOp::Sqrt => float(Math::Sqrt),
+        UnOp::Exp => float(Math::Exp),
+        UnOp::Log => float(Math::Log),
+        UnOp::ToF32 => Op::Cvt {
+            to: ElemType::F32,
+            dst,
+            a,
+        },
+        UnOp::ToF64 => Op::Cvt {
+            to: ElemType::F64,
+            dst,
+            a,
+        },
+        UnOp::ToI64 => Op::Cvt {
+            to: ElemType::I64,
+            dst,
+            a,
+        },
     }
 }
 
@@ -1349,20 +1862,7 @@ fn fmt_dest(d: &Dest) -> String {
 }
 
 fn fmt_exp(e: &LExp) -> String {
-    match e {
-        LExp::Const(v) => format!("{v:?}"),
-        LExp::Slot(s) => format!("%{s}"),
-        LExp::Size(p) => format!("size({:?})", p.poly),
-        LExp::Bin(op, a, b) => format!("({} {op:?} {})", fmt_exp(a), fmt_exp(b)),
-        LExp::Un(op, a) => format!("{op:?}({})", fmt_exp(a)),
-        LExp::Index { arr, idx } => format!(
-            "%{arr}[{}]",
-            idx.iter().map(fmt_exp).collect::<Vec<_>>().join(", ")
-        ),
-        LExp::Select(c, t, f) => {
-            format!("select({}, {}, {})", fmt_exp(c), fmt_exp(t), fmt_exp(f))
-        }
-    }
+    e.text.clone()
 }
 
 fn fmt_slots(slots: &[Slot]) -> String {
@@ -1375,7 +1875,7 @@ fn fmt_slots(slots: &[Slot]) -> String {
 
 fn fmt_instr(i: &Instr) -> String {
     match i {
-        Instr::Scalar { dst, exp, .. } => format!("%{dst} <- {}", fmt_exp(exp)),
+        Instr::Scalar(exp) => format!("%{} <- {}", exp.slot, fmt_exp(exp)),
         Instr::Alloc {
             dst,
             elem,
@@ -1484,6 +1984,9 @@ fn fmt_instr(i: &Instr) -> String {
             format!("jump-if-false {} -> {target}", fmt_exp(cond))
         }
         Instr::JumpIfGe { a, b, target } => format!("jump-if %{a} >= %{b} -> {target}"),
+        Instr::LoopNext { idx, count, target } => {
+            format!("%{idx} += 1; jump-if %{idx} < %{count} -> {target}")
+        }
         Instr::VerifyChecks { checks } => format!(
             "verify-circuits [{}]",
             checks

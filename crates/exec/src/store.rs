@@ -655,23 +655,35 @@ impl MemStore {
         self.fresh(Buffer::new(elem, len))
     }
 
-    /// Allocate a block initialized from an `f32` vector.
-    pub fn alloc_f32(&mut self, data: Vec<f32>) -> usize {
-        self.fresh_input(Buffer::F32(data))
+    /// Allocate a block holding a copy of `f32` program input. Like any
+    /// allocation it recycles a released block when one fits, so a store
+    /// reused across runs does not grow by its inputs.
+    pub fn alloc_f32(&mut self, data: &[f32]) -> usize {
+        self.alloc_input(ElemType::F32, data.len(), |b| match b {
+            Buffer::F32(v) => v.copy_from_slice(data),
+            _ => unreachable!("alloc returns a buffer of the requested class"),
+        })
     }
 
-    pub fn alloc_i64(&mut self, data: Vec<i64>) -> usize {
-        self.fresh_input(Buffer::I64(data))
+    pub fn alloc_i64(&mut self, data: &[i64]) -> usize {
+        self.alloc_input(ElemType::I64, data.len(), |b| match b {
+            Buffer::I64(v) => v.copy_from_slice(data),
+            _ => unreachable!("alloc returns a buffer of the requested class"),
+        })
     }
 
-    pub fn alloc_f64(&mut self, data: Vec<f64>) -> usize {
-        self.fresh_input(Buffer::F64(data))
+    pub fn alloc_f64(&mut self, data: &[f64]) -> usize {
+        self.alloc_input(ElemType::F64, data.len(), |b| match b {
+            Buffer::F64(v) => v.copy_from_slice(data),
+            _ => unreachable!("alloc returns a buffer of the requested class"),
+        })
     }
 
-    /// Fresh block holding program input: every cell is legitimately
-    /// readable from the start.
-    fn fresh_input(&mut self, b: Buffer) -> usize {
-        let id = self.fresh(b);
+    /// A block holding program input: allocated like any other, filled by
+    /// `fill`, and every cell legitimately readable from the start.
+    fn alloc_input(&mut self, elem: ElemType, len: usize, fill: impl FnOnce(&mut Buffer)) -> usize {
+        let id = self.alloc(elem, len);
+        fill(&mut self.blocks[id]);
         if let Some(sh) = &mut self.shadow {
             sh[id].cells.fill(CellState::Input);
         }
@@ -830,7 +842,7 @@ mod tests {
         let r = s.raw(b);
         assert_eq!(r.len, 10);
         assert_eq!(r.elem, ElemType::F32);
-        let b2 = s.alloc_i64(vec![1, 2, 3]);
+        let b2 = s.alloc_i64(&[1, 2, 3]);
         assert_eq!(s.len(b2), 3);
         assert_eq!(s.bytes_allocated, 40 + 24);
         assert_eq!(s.num_allocs, 2);
@@ -935,7 +947,7 @@ mod tests {
         assert_eq!(s.shadow_cell(c, 2), Some(CellState::Stale));
         assert_eq!(s.shadow_cell(c, 3), Some(CellState::Zeroed));
         // Input allocations are readable everywhere.
-        let d = s.alloc_i64(vec![1, 2]);
+        let d = s.alloc_i64(&[1, 2]);
         assert_eq!(s.shadow_cell(d, 1), Some(CellState::Input));
         // Disabling drops the layer entirely.
         s.disable_shadow();

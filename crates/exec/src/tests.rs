@@ -499,7 +499,7 @@ fn access_plans_match_generic_indexing() {
         let n = ixfn.num_elems();
         let max_off = ixfn.all_offsets().into_iter().max().unwrap_or(0);
         let mut store = crate::store::MemStore::new();
-        let block = store.alloc_f32((0..=max_off).map(|i| i as f32 * 0.5).collect());
+        let block = store.alloc_f32(&(0..=max_off).map(|i| i as f32 * 0.5).collect::<Vec<_>>());
         let view = crate::view::View::new(store.raw(block), ixfn.clone());
         plans_seen.insert(format!("{:?}", std::mem::discriminant(&ixfn.classify())));
         for f in 0..n {
@@ -549,4 +549,80 @@ fn bool_arrays_are_word_backed() {
     let kernels = KernelRegistry::new();
     let (out, _, _) = run_all(&prog, env, &[InputValue::I64(5)], &kernels);
     assert_eq!(out[0].as_i64s(), &[1, 1, 0, 1, 1]);
+}
+
+/// Scalar ops are typed at lower time. The binary-operator promotion rule
+/// (an `f32` operand wins over `f64`, which wins over `i64`), Euclidean
+/// integer division, boolean equality and the final coercion to the
+/// bound type must hold bit for bit, and `select` must evaluate only the
+/// chosen branch: the untaken one here reads past the array's end.
+#[test]
+fn scalar_ops_promote_coerce_and_select_lazily() {
+    use arraymem_ir::{BinOp, Constant, UnOp};
+    let k = |c: Constant| ScalarExp::Const(c);
+    let mut b = Builder::new("scalar_ops");
+    let n = b.scalar_param("sn", ElemType::I64);
+    let xs = b.array_param("sxs", ElemType::F32, vec![p(n)]);
+    let mut body = b.block();
+    let guarded = body.scalar(
+        "guarded",
+        ElemType::F32,
+        ScalarExp::Select(
+            Box::new(ScalarExp::bin(
+                BinOp::Lt,
+                ScalarExp::var(n),
+                ScalarExp::var(n),
+            )),
+            Box::new(ScalarExp::Index(xs, vec![ScalarExp::var(n)])),
+            Box::new(k(Constant::F32(1.5))),
+        ),
+    );
+    let mixed = body.scalar(
+        "mixed",
+        ElemType::F64,
+        ScalarExp::bin(BinOp::Add, k(Constant::F64(0.1)), k(Constant::F32(0.2))),
+    );
+    let half = body.scalar(
+        "half",
+        ElemType::F32,
+        ScalarExp::bin(BinOp::Add, ScalarExp::var(n), k(Constant::F32(0.5))),
+    );
+    let rem = body.scalar(
+        "rem",
+        ElemType::I64,
+        ScalarExp::bin(
+            BinOp::Rem,
+            ScalarExp::bin(BinOp::Sub, ScalarExp::i64(0), ScalarExp::var(n)),
+            ScalarExp::i64(3),
+        ),
+    );
+    let same = body.scalar(
+        "same",
+        ElemType::Bool,
+        ScalarExp::bin(
+            BinOp::Eq,
+            ScalarExp::bin(BinOp::Eq, ScalarExp::var(n), ScalarExp::i64(4)),
+            k(Constant::Bool(true)),
+        ),
+    );
+    let trunc = body.scalar(
+        "trunc",
+        ElemType::I64,
+        ScalarExp::Un(UnOp::ToI64, Box::new(ScalarExp::var(half))),
+    );
+    let blk = body.finish(vec![guarded, mixed, half, rem, same, trunc]);
+    let prog = b.finish(blk);
+    let mut env = Env::new();
+    env.assume_ge(n, 1);
+    let inputs = [InputValue::I64(4), InputValue::ArrayF32(vec![9.0; 4])];
+    let (out, _, _) = run_all(&prog, env, &inputs, &KernelRegistry::new());
+    assert_eq!(out[0], OutputValue::F32(1.5));
+    match out[1] {
+        OutputValue::F64(x) => assert_eq!(x.to_bits(), ((0.1f64 as f32 + 0.2f32) as f64).to_bits()),
+        ref o => panic!("mixed is {o:?}"),
+    }
+    assert_eq!(out[2], OutputValue::F32(4.5));
+    assert_eq!(out[3], OutputValue::I64(2));
+    assert_eq!(out[4], OutputValue::Bool(true));
+    assert_eq!(out[5], OutputValue::I64(4));
 }

@@ -3,6 +3,7 @@
 use arraymem_ir::ElemType;
 use arraymem_lmad::concrete::AccessClass;
 use arraymem_lmad::ConcreteIxFn;
+use std::sync::Arc;
 
 /// A runtime array: a block id plus a concrete index function.
 #[derive(Clone, Debug)]
@@ -47,7 +48,9 @@ impl ArrayRef {
     }
 }
 
-/// A runtime value.
+/// A runtime value. Arrays are shared handles: copying a register (a
+/// loop's carried array, a variable read) bumps a reference count and
+/// never copies the index function.
 #[derive(Clone, Debug)]
 pub enum Value {
     F32(f32),
@@ -55,7 +58,7 @@ pub enum Value {
     I64(i64),
     Bool(bool),
     Mem(usize),
-    Array(ArrayRef),
+    Array(Arc<ArrayRef>),
 }
 
 impl Value {
@@ -94,20 +97,6 @@ impl Value {
             Value::Bool(b) => *b,
             Value::I64(x) => *x != 0,
             _ => panic!("not a bool: {self:?}"),
-        }
-    }
-
-    pub fn as_mem(&self) -> usize {
-        match self {
-            Value::Mem(m) => *m,
-            _ => panic!("not a memory block: {self:?}"),
-        }
-    }
-
-    pub fn as_array(&self) -> &ArrayRef {
-        match self {
-            Value::Array(a) => a,
-            _ => panic!("not an array: {self:?}"),
         }
     }
 }

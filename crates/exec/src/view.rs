@@ -76,6 +76,52 @@ fn elem_compatible(stored: arraymem_ir::ElemType, accessed: arraymem_ir::ElemTyp
     stored == accessed || (stored == ET::Bool && accessed == ET::I64)
 }
 
+/// Direct element access by memory offset, for the VM's point reads and
+/// writes: the offset comes straight from an index function, and the
+/// block-bounds assert is the one every view access makes.
+macro_rules! raw_access {
+    ($read:ident, $write:ident, $ty:ty, $variant:ident) => {
+        #[inline]
+        pub fn $read(&self, off: i64) -> $ty {
+            let off = self.checked(off, arraymem_ir::ElemType::$variant);
+            // SAFETY: `checked` proved `off < len` for a buffer of `len`
+            // elements of this width, live while the store holds it.
+            unsafe { *(self.ptr as *const $ty).add(off) }
+        }
+
+        #[inline]
+        pub fn $write(&self, off: i64, v: $ty) {
+            let off = self.checked(off, arraymem_ir::ElemType::$variant);
+            // SAFETY: as for the read; concurrent writers of one block are
+            // excluded by the compiler's disjointness proofs (module docs).
+            unsafe { *(self.ptr as *mut $ty).add(off) = v }
+        }
+    };
+}
+
+impl RawBuf {
+    /// The offset as an index, after the checks the raw access relies
+    /// on: inside the block, and an element type of the stored width.
+    #[inline]
+    fn checked(&self, off: i64, accessed: arraymem_ir::ElemType) -> usize {
+        assert!(
+            elem_compatible(self.elem, accessed),
+            "{accessed:?} access to a {:?} block",
+            self.elem
+        );
+        assert!(
+            off >= 0 && (off as usize) < self.len,
+            "view access out of bounds: offset {off} >= block len {}",
+            self.len
+        );
+        off as usize
+    }
+
+    raw_access!(read_f32, write_f32, f32, F32);
+    raw_access!(read_f64, write_f64, f64, F64);
+    raw_access!(read_i64, write_i64, i64, I64);
+}
+
 /// A read-only view.
 #[derive(Clone)]
 pub struct View {
@@ -260,6 +306,12 @@ impl ViewMut {
     pub fn set_f32_flat(&self, flat: i64, v: f32) {
         let off = self.core.offset_flat(flat);
         unsafe { *(self.core.buf.ptr as *mut f32).add(off) = v }
+    }
+
+    #[inline]
+    pub fn set_f64_flat(&self, flat: i64, v: f64) {
+        let off = self.core.offset_flat(flat);
+        unsafe { *(self.core.buf.ptr as *mut f64).add(off) = v }
     }
 
     #[inline]
@@ -484,7 +536,7 @@ mod tests {
 
     fn store_with(data: Vec<f32>) -> (MemStore, usize) {
         let mut s = MemStore::new();
-        let b = s.alloc_f32(data);
+        let b = s.alloc_f32(&data);
         (s, b)
     }
 
@@ -526,7 +578,7 @@ mod tests {
         // dst: every other element of a block; src: a reversed view.
         let mut s = MemStore::new();
         let db = s.alloc(ElemType::F32, 16);
-        let sb = s.alloc_f32((0..8).map(|i| i as f32).collect());
+        let sb = s.alloc_f32(&(0..8).map(|i| i as f32).collect::<Vec<_>>());
         let dst = ViewMut::new(
             s.raw(db),
             ConcreteIxFn::from_lmad(ConcreteLmad {
@@ -552,7 +604,7 @@ mod tests {
     fn contiguous_copy_uses_memcpy_path() {
         let mut s = MemStore::new();
         let db = s.alloc(ElemType::I64, 6);
-        let sb = s.alloc_i64(vec![1, 2, 3, 4, 5, 6]);
+        let sb = s.alloc_i64(&[1, 2, 3, 4, 5, 6]);
         let dst = ViewMut::new(s.raw(db), ConcreteIxFn::row_major(&[6]));
         let src = View::new(s.raw(sb), ConcreteIxFn::row_major(&[6]));
         copy_view(&dst, &src);

@@ -45,8 +45,8 @@
 use crate::cache::PlanCache;
 use crate::kernel::{KernelCtx, KernelRegistry};
 use crate::plan::{
-    lower_plan_with, slot_lookup, Dest, ExecPlan, Instr, LExp, LSlice, LUpdateSrc, ParamSpec,
-    Stream,
+    lower_plan_with, slot_lookup, Arith, Cmp, Dest, ExecPlan, Instr, LExp, LSlice, LUpdateSrc,
+    MapKernelInstr, MapLambdaInstr, Math, Op, ParamSpec, Slot, Stream, UpdateInstr,
 };
 use crate::pool::parallel_for_worker;
 use crate::stats::{Diagnostic, Stats};
@@ -56,15 +56,40 @@ use crate::view::{copy_view, fix_outer, View, ViewMut};
 use arraymem_core::{CircuitCheck, MergeRecord, ReleasePlan};
 use arraymem_core::{ParLevel, ParSafetyRecord};
 use arraymem_ir::validate::lmad_slice_is_injective;
-use arraymem_ir::{BinOp, ElemType, Program, Type, UnOp};
-use arraymem_lmad::{
-    footprint_check, ConcreteIxFn, ConcreteLmad, FootprintCheck, IndexFn, Lmad, Transform,
-    TripletSlice,
-};
-use arraymem_symbolic::Poly;
+use arraymem_ir::{ElemType, Program, Type};
+use arraymem_lmad::{footprint_check, ConcreteIxFn, ConcreteLmad, ConcreteSlice, FootprintCheck};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Floating-point arithmetic, identical for `f32` and `f64`.
+macro_rules! arith_float {
+    ($k:expr, $a:expr, $b:expr) => {{
+        let (a, b) = ($a, $b);
+        match $k {
+            Arith::Add => a + b,
+            Arith::Sub => a - b,
+            Arith::Mul => a * b,
+            Arith::Div => a / b,
+            Arith::Rem => a % b,
+            Arith::Min => a.min(b),
+            Arith::Max => a.max(b),
+        }
+    }};
+}
+
+macro_rules! math_float {
+    ($k:expr, $a:expr) => {{
+        let a = $a;
+        match $k {
+            Math::Neg => -a,
+            Math::Abs => a.abs(),
+            Math::Sqrt => a.sqrt(),
+            Math::Exp => a.exp(),
+            Math::Log => a.ln(),
+        }
+    }};
+}
 
 /// Execution mode.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -99,6 +124,8 @@ struct Machine<'a> {
     store: &'a mut MemStore,
     kernels: &'a KernelRegistry,
     regs: Vec<Value>,
+    /// Staging for [`Instr::CopySlots`], reused so a copy never allocates.
+    scratch: Vec<Value>,
     stats: Stats,
     threads: usize,
     mode: Mode,
@@ -359,6 +386,20 @@ pub fn run_program(
     Session::new().run(prog, inputs, kernels, mode, threads)
 }
 
+/// Releases everything a run left in its store — live blocks and
+/// color-slab residents — on every exit from [`execute_plan`]: success,
+/// error or unwind. Results are extracted (deep-copied) before it drops,
+/// so every block feeds the next run's allocations and a failed run
+/// leaves the store as clean as a successful one.
+struct RunGuard<'a>(&'a mut MemStore);
+
+impl Drop for RunGuard<'_> {
+    fn drop(&mut self) {
+        self.0.drain_colors();
+        self.0.release_all_live();
+    }
+}
+
 /// Run one plan against a store: load inputs, execute the stream, extract
 /// results, release everything still live back to the free lists. This is
 /// the layer below [`Session`]: the server executes shared
@@ -376,94 +417,22 @@ pub fn execute_plan(
     } else {
         store.disable_shadow();
     }
+    let guard = RunGuard(store);
+    let mut regs = vec![Value::I64(0); plan.num_slots() as usize];
+    for (slot, v) in &plan.consts {
+        regs[*slot as usize] = v.clone();
+    }
     let mut m = Machine {
-        store,
+        store: &mut *guard.0,
         kernels,
-        regs: vec![Value::I64(0); plan.num_slots() as usize],
+        regs,
+        scratch: Vec::new(),
         stats: Stats::default(),
         threads: threads.max(1),
         mode,
         cur_stm: None,
     };
-    if inputs.len() != plan.params.len() {
-        return Err(format!(
-            "expected {} inputs, got {}",
-            plan.params.len(),
-            inputs.len()
-        ));
-    }
-    for (spec, input) in plan.params.iter().zip(inputs) {
-        m.load_param(spec, input)?;
-    }
-    // Only the body execution is measured.
-    m.store.bytes_allocated = 0;
-    m.store.num_allocs = 0;
-    m.store.blocks_reused = 0;
-    m.store.bytes_zeroing_elided = 0;
-    m.store.arena_blocks_adopted = 0;
-    m.store.bytes_cross_tenant_scrubbed = 0;
-    m.store.carried_releases = 0;
-    m.store.color_slab_hits = 0;
-    m.store.begin_colors(plan.num_colors);
-    m.store.reset_peak();
-    let t0 = Instant::now();
-    m.exec_stream(&plan.body)?;
-    m.stats.total_time = t0.elapsed();
-    if m.checked() {
-        m.verify_merges(&plan.merge_checks);
-    }
-    m.stats.bytes_allocated = m.store.bytes_allocated;
-    m.stats.num_allocs = m.store.num_allocs;
-    m.stats.blocks_reused = m.store.blocks_reused;
-    m.stats.bytes_zeroing_elided = m.store.bytes_zeroing_elided;
-    m.stats.arena_blocks_adopted = m.store.arena_blocks_adopted;
-    m.stats.bytes_cross_tenant_scrubbed = m.store.bytes_cross_tenant_scrubbed;
-    m.stats.carried_releases = m.store.carried_releases;
-    m.stats.color_slab_hits = m.store.color_slab_hits;
-    m.stats.peak_bytes_live = m.store.peak_bytes_live;
-    m.stats.blocks_merged = plan.blocks_merged;
-    let mut out = Vec::with_capacity(plan.results.len());
-    for (slot, v) in &plan.results {
-        m.cur_stm = Some(*v);
-        let value = m.regs[*slot as usize].clone();
-        out.push(extract(&mut m, &value));
-    }
-    let stats = m.stats;
-    // Results are extracted (deep-copied) above; everything the run
-    // allocated can feed the next run's allocations — including blocks
-    // still parked in color slabs.
-    store.drain_colors();
-    store.release_all_live();
-    Ok((out, stats))
-}
-
-fn extract(m: &mut Machine, v: &Value) -> OutputValue {
-    match v {
-        Value::I64(x) => OutputValue::I64(*x),
-        Value::F32(x) => OutputValue::F32(*x),
-        Value::F64(x) => OutputValue::F64(*x),
-        Value::Bool(x) => OutputValue::Bool(*x),
-        Value::Mem(_) => OutputValue::I64(0),
-        Value::Array(a) => {
-            // Result extraction is a read like any other: never-written or
-            // already-released result cells are exactly what escapes to
-            // the caller.
-            m.check_read(a.block, &a.ixfn);
-            let view = m.view(a);
-            let n = view.num_elems();
-            match a.elem {
-                ElemType::F32 => {
-                    OutputValue::ArrayF32((0..n).map(|f| view.get_f32_flat(f)).collect())
-                }
-                ElemType::F64 => {
-                    OutputValue::ArrayF64((0..n).map(|f| view.get_f64_flat(f)).collect())
-                }
-                ElemType::I64 | ElemType::Bool => {
-                    OutputValue::ArrayI64((0..n).map(|f| view.get_i64_flat(f)).collect())
-                }
-            }
-        }
-    }
+    m.run(plan, inputs)
 }
 
 impl Machine<'_> {
@@ -476,20 +445,101 @@ impl Machine<'_> {
         self.mode == Mode::Checked
     }
 
+    fn run(
+        &mut self,
+        plan: &ExecPlan,
+        inputs: &[InputValue],
+    ) -> Result<(Vec<OutputValue>, Stats), String> {
+        if inputs.len() != plan.params.len() {
+            return Err(format!(
+                "expected {} inputs, got {}",
+                plan.params.len(),
+                inputs.len()
+            ));
+        }
+        for (spec, input) in plan.params.iter().zip(inputs) {
+            self.load_param(spec, input)?;
+        }
+        // Only the body execution is measured.
+        let store = &mut *self.store;
+        store.bytes_allocated = 0;
+        store.num_allocs = 0;
+        store.blocks_reused = 0;
+        store.bytes_zeroing_elided = 0;
+        store.arena_blocks_adopted = 0;
+        store.bytes_cross_tenant_scrubbed = 0;
+        store.carried_releases = 0;
+        store.color_slab_hits = 0;
+        store.begin_colors(plan.num_colors);
+        store.reset_peak();
+        let t0 = Instant::now();
+        self.exec_stream(&plan.body)?;
+        self.stats.total_time = t0.elapsed();
+        if self.checked() {
+            self.verify_merges(&plan.merge_checks);
+        }
+        let store = &*self.store;
+        let stats = &mut self.stats;
+        stats.bytes_allocated = store.bytes_allocated;
+        stats.num_allocs = store.num_allocs;
+        stats.blocks_reused = store.blocks_reused;
+        stats.bytes_zeroing_elided = store.bytes_zeroing_elided;
+        stats.arena_blocks_adopted = store.arena_blocks_adopted;
+        stats.bytes_cross_tenant_scrubbed = store.bytes_cross_tenant_scrubbed;
+        stats.carried_releases = store.carried_releases;
+        stats.color_slab_hits = store.color_slab_hits;
+        stats.peak_bytes_live = store.peak_bytes_live;
+        stats.blocks_merged = plan.blocks_merged;
+        let mut out = Vec::with_capacity(plan.results.len());
+        for (slot, v) in &plan.results {
+            self.cur_stm = Some(*v);
+            let value = self.regs[*slot as usize].clone();
+            out.push(self.extract(&value));
+        }
+        Ok((out, std::mem::take(&mut self.stats)))
+    }
+
+    fn extract(&mut self, v: &Value) -> OutputValue {
+        match v {
+            Value::I64(x) => OutputValue::I64(*x),
+            Value::F32(x) => OutputValue::F32(*x),
+            Value::F64(x) => OutputValue::F64(*x),
+            Value::Bool(x) => OutputValue::Bool(*x),
+            Value::Mem(_) => OutputValue::I64(0),
+            Value::Array(a) => {
+                // Result extraction is a read like any other: never-written
+                // or already-released result cells are exactly what escapes
+                // to the caller.
+                self.check_read(a.block, &a.ixfn);
+                let view = self.view(a);
+                let n = view.num_elems();
+                match a.elem {
+                    ElemType::F32 => {
+                        OutputValue::ArrayF32((0..n).map(|f| view.get_f32_flat(f)).collect())
+                    }
+                    ElemType::F64 => {
+                        OutputValue::ArrayF64((0..n).map(|f| view.get_f64_flat(f)).collect())
+                    }
+                    ElemType::I64 | ElemType::Bool => {
+                        OutputValue::ArrayI64((0..n).map(|f| view.get_i64_flat(f)).collect())
+                    }
+                }
+            }
+        }
+    }
+
+    /// Bind one input. Arrays are copied into a block the store recycles
+    /// when one fits, so repeated runs do not grow the store by their
+    /// inputs; a type or length mismatch is an error, never a panic.
     fn load_param(&mut self, spec: &ParamSpec, input: &InputValue) -> Result<(), String> {
         let v = spec.var;
+        let slot = spec.slot as usize;
         match (&spec.ty, input) {
-            (Type::Scalar(ElemType::I64), InputValue::I64(x)) => {
-                self.regs[spec.slot as usize] = Value::I64(*x);
-            }
-            (Type::Scalar(ElemType::F32), InputValue::F32(x)) => {
-                self.regs[spec.slot as usize] = Value::F32(*x);
-            }
-            (Type::Scalar(ElemType::F64), InputValue::F64(x)) => {
-                self.regs[spec.slot as usize] = Value::F64(*x);
-            }
+            (Type::Scalar(ElemType::I64), InputValue::I64(x)) => self.regs[slot] = Value::I64(*x),
+            (Type::Scalar(ElemType::F32), InputValue::F32(x)) => self.regs[slot] = Value::F32(*x),
+            (Type::Scalar(ElemType::F64), InputValue::F64(x)) => self.regs[slot] = Value::F64(*x),
             (Type::Scalar(ElemType::Bool), InputValue::Bool(x)) => {
-                self.regs[spec.slot as usize] = Value::Bool(*x);
+                self.regs[slot] = Value::Bool(*x)
             }
             (Type::Array { elem, .. }, arr) => {
                 let shape_c: Vec<i64> = spec
@@ -498,26 +548,28 @@ impl Machine<'_> {
                     .map(|p| p.eval(&self.regs).ok_or("unresolved param shape"))
                     .collect::<Result<_, _>>()?;
                 let n: i64 = shape_c.iter().product();
-                let block = match (elem, arr) {
-                    (ElemType::F32, InputValue::ArrayF32(d)) => {
-                        assert_eq!(d.len() as i64, n, "input length mismatch for {v}");
-                        self.store.alloc_f32(d.clone())
-                    }
-                    (ElemType::F64, InputValue::ArrayF64(d)) => {
-                        assert_eq!(d.len() as i64, n);
-                        self.store.alloc_f64(d.clone())
-                    }
-                    (ElemType::I64, InputValue::ArrayI64(d)) => {
-                        assert_eq!(d.len() as i64, n);
-                        self.store.alloc_i64(d.clone())
-                    }
+                let len = match (elem, arr) {
+                    (ElemType::F32, InputValue::ArrayF32(d)) => d.len(),
+                    (ElemType::F64, InputValue::ArrayF64(d)) => d.len(),
+                    (ElemType::I64, InputValue::ArrayI64(d)) => d.len(),
                     _ => return Err(format!("input type mismatch for {v}")),
                 };
-                self.regs[spec.slot as usize] = Value::Array(ArrayRef::new(
+                if len as i64 != n {
+                    return Err(format!(
+                        "input length mismatch for {v}: {len} elements for shape {shape_c:?}"
+                    ));
+                }
+                let block = match arr {
+                    InputValue::ArrayF32(d) => self.store.alloc_f32(d),
+                    InputValue::ArrayF64(d) => self.store.alloc_f64(d),
+                    InputValue::ArrayI64(d) => self.store.alloc_i64(d),
+                    _ => return Err(format!("input type mismatch for {v}")),
+                };
+                self.regs[slot] = Value::Array(Arc::new(ArrayRef::new(
                     block,
                     *elem,
                     ConcreteIxFn::row_major(&shape_c),
-                ));
+                )));
                 // The parameter's memory block variable.
                 if let Some(ms) = spec.mem_slot {
                     self.regs[ms as usize] = Value::Mem(block);
@@ -712,9 +764,8 @@ impl Machine<'_> {
                     continue;
                 }
                 Instr::JumpIfFalse { cond, target } => {
-                    let t = *target;
-                    if !self.eval_lexp(cond)?.as_bool() {
-                        pc = t;
+                    if !self.eval(cond)?.as_bool() {
+                        pc = *target;
                         continue;
                     }
                 }
@@ -724,6 +775,15 @@ impl Machine<'_> {
                         continue;
                     }
                 }
+                Instr::LoopNext { idx, count, target } => {
+                    let i = self.regs[*idx as usize].as_i64() + 1;
+                    self.regs[*idx as usize] = Value::I64(i);
+                    if i < self.regs[*count as usize].as_i64() {
+                        pc = *target;
+                        continue;
+                    }
+                }
+                Instr::Scalar(exp) => self.run_ops(&exp.ops)?,
                 i => self.exec_instr(i)?,
             }
             pc += 1;
@@ -733,10 +793,6 @@ impl Machine<'_> {
 
     fn exec_instr(&mut self, instr: &Instr) -> Result<(), String> {
         match instr {
-            Instr::Scalar { dst, elem, exp } => {
-                let v = self.eval_lexp(exp)?;
-                self.regs[*dst as usize] = coerce(v, *elem);
-            }
             Instr::Alloc {
                 dst,
                 elem,
@@ -766,7 +822,7 @@ impl Machine<'_> {
                 self.regs[dest.slot as usize] = Value::Array(dst);
             }
             Instr::Replicate { dest, value } => {
-                let v = self.eval_lexp(value)?;
+                let v = self.eval(value)?;
                 let dst = self.fresh_dest(dest)?;
                 let view = self.view_mut(&dst);
                 let n = view.num_elems();
@@ -784,7 +840,7 @@ impl Machine<'_> {
                     ElemType::F64 => {
                         let x = v.as_f64();
                         for i in 0..n {
-                            view.set_f64(&unflat(&view.shape(), i), x);
+                            view.set_f64_flat(i, x);
                         }
                     }
                     ElemType::I64 | ElemType::Bool => {
@@ -802,7 +858,7 @@ impl Machine<'_> {
                 self.regs[dest.slot as usize] = Value::Array(dst);
             }
             Instr::Copy { dest, src } => {
-                let src_a = self.regs[*src as usize].as_array().clone();
+                let src_a = self.array(*src)?;
                 self.check_read(src_a.block, &src_a.ixfn);
                 let dst = self.fresh_dest(dest)?;
                 let sv = self.view(&src_a);
@@ -820,7 +876,7 @@ impl Machine<'_> {
                 let dv = self.view_mut(&dst);
                 let mut row = 0i64;
                 for arg in args {
-                    let src_a = self.regs[arg.src as usize].as_array().clone();
+                    let src_a = self.array(arg.src)?;
                     // Every argument is read (an elided one was constructed
                     // directly in the destination — its cells must already
                     // be written there).
@@ -840,8 +896,7 @@ impl Machine<'_> {
                         self.stats.copy_time += t.elapsed();
                         self.stats.bytes_copied += bytes;
                         self.stats.num_copies += 1;
-                        let sub_ix = sub.ixfn().clone();
-                        self.mark_write(dst.block, &sub_ix);
+                        self.mark_write(dst.block, sub.ixfn());
                     }
                     row += rows;
                 }
@@ -853,12 +908,11 @@ impl Machine<'_> {
                 tr,
                 vars,
             } => {
-                let src_a = self.regs[*src as usize].as_array().clone();
-                let ixfn = {
-                    let lookup = slot_lookup(vars, &self.regs);
-                    apply_transform_concrete(&src_a.ixfn, tr, &lookup)
-                }
-                .ok_or("unsupported concrete transform")?;
+                let src_a = self.array(*src)?;
+                let ixfn = tr
+                    .eval(&slot_lookup(vars, &self.regs))
+                    .and_then(|t| src_a.ixfn.transform(&t))
+                    .ok_or("unsupported concrete transform")?;
                 if self.mode == Mode::Pure {
                     // Materialize the transformed view into a fresh array.
                     let dst = self.fresh_dest(dest)?;
@@ -868,12 +922,12 @@ impl Machine<'_> {
                     self.regs[dest.slot as usize] = Value::Array(dst);
                 } else {
                     self.regs[dest.slot as usize] =
-                        Value::Array(ArrayRef::new(src_a.block, src_a.elem, ixfn));
+                        Value::Array(Arc::new(ArrayRef::new(src_a.block, src_a.elem, ixfn)));
                 }
             }
             Instr::Gather { dest, src, idx } => {
-                let src_a = self.regs[*src as usize].as_array().clone();
-                let idx_a = self.regs[*idx as usize].as_array().clone();
+                let src_a = self.array(*src)?;
+                let idx_a = self.array(*idx)?;
                 if idx_a.elem != ElemType::I64 {
                     return Err("gather index array must be i64".into());
                 }
@@ -884,8 +938,6 @@ impl Machine<'_> {
                 let dv = self.view_mut(&dst);
                 let n = iv.num_elems();
                 let extent = src_a.ixfn.num_elems();
-                let src_shape = sv.shape();
-                let dst_shape = dv.shape();
                 let t = Instant::now();
                 for k in 0..n.max(0) {
                     let j = iv.get_i64_flat(k);
@@ -907,14 +959,12 @@ impl Machine<'_> {
                         ));
                     }
                     if self.store.shadow_enabled() {
-                        let off = src_a.ixfn.index(&unflat(&src_shape, j));
+                        let off = src_a.ixfn.index_flat(j);
                         self.check_cell(src_a.block, off, &src_a.ixfn);
                     }
                     match dst.elem {
                         ElemType::F32 => dv.set_f32_flat(k, sv.get_f32_flat(j)),
-                        ElemType::F64 => {
-                            dv.set_f64(&unflat(&dst_shape, k), sv.get_f64(&unflat(&src_shape, j)))
-                        }
+                        ElemType::F64 => dv.set_f64_flat(k, sv.get_f64_flat(j)),
                         ElemType::I64 | ElemType::Bool => dv.set_i64_flat(k, sv.get_i64_flat(j)),
                     }
                 }
@@ -924,352 +974,9 @@ impl Machine<'_> {
                 self.mark_write(dst.block, &dst.ixfn);
                 self.regs[dest.slot as usize] = Value::Array(dst);
             }
-            Instr::MapKernel(mk) => {
-                let width = mk.width.eval(&self.regs).ok_or("unresolved map width")?;
-                let dst = self.fresh_dest(&mk.dest)?;
-                let kernel = match mk.kernel {
-                    Some(k) => self.kernels.by_index(k).clone(),
-                    None => return Err(format!("unregistered kernel {}", mk.kernel_name)),
-                };
-                let in_arrays: Vec<ArrayRef> = mk
-                    .inputs
-                    .iter()
-                    .map(|s| self.regs[*s as usize].as_array().clone())
-                    .collect();
-                for a in &in_arrays {
-                    self.check_read(a.block, &a.ixfn);
-                }
-                let inputs: Vec<View> = in_arrays.iter().map(|a| self.view(a)).collect();
-                let argv: Vec<Value> = mk
-                    .args
-                    .iter()
-                    .map(|a| self.eval_lexp(a))
-                    .collect::<Result<_, _>>()?;
-                let row_shape_c: Vec<i64> = mk
-                    .row_shape
-                    .iter()
-                    .map(|p| {
-                        p.eval(&self.regs)
-                            .ok_or_else(|| "unresolved row shape".to_string())
-                    })
-                    .collect::<Result<_, _>>()?;
-                let row_elems: i64 = row_shape_c.iter().product();
-                let scalar_rows = row_shape_c.is_empty();
-                let par_proven = matches!(mk.par, Some(ParLevel::Safe));
-                // Checked mode re-proves a `Safe` verdict concretely before
-                // dispatching: enumerate every iteration's write footprint
-                // and confirm no cell is written twice. A failed re-proof
-                // reports [`Diagnostic::ParOverlap`] and the map falls back
-                // to serial execution.
-                let precheck_ran = par_proven && self.checked();
-                let prechecked = precheck_ran && self.par_precheck(dst.block, &dst.ixfn, width);
-                // Pure mode writes rows directly (fresh dense memory never
-                // aliases inputs); Memory mode honours the pass's verdicts:
-                // `Safe` writes result memory directly, `Serial` means
-                // direct writes with *unproven* disjointness.
-                let direct = scalar_rows || mk.in_place || self.mode == Mode::Pure || par_proven;
-                let out_view = self.view_mut(&dst);
-                // Private per-worker row buffers for the non-in-place case:
-                // the mapnest's implicit result copy (§V-A(e)). The copy-out
-                // targets a worker-private row, so buffered maps parallelize
-                // freely; `Serial` maps never dispatch in parallel.
-                let workers = match self.mode {
-                    Mode::Pure => self.threads,
-                    Mode::Memory if matches!(mk.par, Some(ParLevel::Serial)) => 1,
-                    Mode::Memory => self.threads,
-                    // Under the sanitizer, only maps the pre-dispatch
-                    // re-proof cleared may run parallel.
-                    Mode::Checked => {
-                        if prechecked {
-                            self.threads
-                        } else {
-                            1
-                        }
-                    }
-                };
-                let temp_block = if direct {
-                    None
-                } else {
-                    Some(
-                        self.store
-                            .alloc(mk.elem, (row_elems * workers as i64).max(0) as usize),
-                    )
-                };
-                let temp_raw = temp_block.map(|b| self.store.raw(b));
-                let t0 = Instant::now();
-                let info = parallel_for_worker(workers, width, |i, w| {
-                    let row = out_view.row(i);
-                    if direct {
-                        let ctx = KernelCtx {
-                            i,
-                            inputs: &inputs,
-                            args: &argv,
-                            out: row,
-                        };
-                        kernel(&ctx);
-                    } else {
-                        // Build the private row, then copy it out.
-                        let mut priv_lmad = ConcreteLmad::row_major(&row_shape_c);
-                        priv_lmad.offset = w as i64 * row_elems;
-                        let priv_row =
-                            ViewMut::new(temp_raw.unwrap(), ConcreteIxFn::from_lmad(priv_lmad));
-                        let ctx = KernelCtx {
-                            i,
-                            inputs: &inputs,
-                            args: &argv,
-                            out: priv_row.clone(),
-                        };
-                        kernel(&ctx);
-                        copy_view(&row, &priv_row.as_view());
-                    }
-                });
-                self.stats.kernel_time += t0.elapsed();
-                self.stats.kernel_launches += width.max(0) as u64;
-                self.stats.pool_dispatches += info.dispatched as u64;
-                if info.dispatched {
-                    self.stats.par_chunks += info.chunks;
-                    self.stats.par_chunks_stolen += info.chunks_stolen;
-                    self.stats.par_workers_engaged += info.workers_engaged as u64;
-                    self.stats.par_workers_offered += info.workers_offered as u64;
-                    if par_proven && direct && self.mem_like() {
-                        self.stats.maps_parallel_in_place += 1;
-                    }
-                }
-                // The private-row scratch dies with the dispatch; recycle
-                // it so the next non-in-place map pays no fresh alloc.
-                if let Some(b) = temp_block {
-                    self.store.release(b);
-                }
-                if !direct {
-                    let bytes = (width * row_elems).max(0) as u64 * mk.elem.size_bytes() as u64;
-                    self.stats.bytes_copied += bytes;
-                    self.stats.num_copies += width.max(0) as u64;
-                } else if mk.in_place && self.mem_like() && !scalar_rows {
-                    let bytes = (width * row_elems).max(0) as u64 * mk.elem.size_bytes() as u64;
-                    self.stats.bytes_elided += bytes;
-                    self.stats.num_elided += width.max(0) as u64;
-                }
-                // Dynamic race detector: no two iterations of the map may
-                // write one cell. The kernel writes each row through the
-                // result's index function with the outer dim fixed, so
-                // enumerating those footprints covers its stores. For
-                // `par_safety`-approved maps the pre-dispatch re-proof
-                // already enumerated exactly these footprints (and reported
-                // any overlap as `ParOverlap`), so skip the post-hoc pass.
-                if !precheck_ran {
-                    self.race_check(dst.block, &dst.ixfn, width);
-                }
-                self.mark_write(dst.block, &dst.ixfn);
-                self.regs[mk.dest.slot as usize] = Value::Array(dst);
-            }
-            Instr::MapLambda(ml) => {
-                // Interpreted elementwise map over rank-1 inputs.
-                let width = ml.width.eval(&self.regs).ok_or("unresolved map width")?;
-                let dsts: Vec<ArrayRef> = ml
-                    .dests
-                    .iter()
-                    .map(|d| self.fresh_dest(d))
-                    .collect::<Result<_, _>>()?;
-                let in_arrays: Vec<ArrayRef> = ml
-                    .inputs
-                    .iter()
-                    .map(|s| self.regs[*s as usize].as_array().clone())
-                    .collect();
-                for a in &in_arrays {
-                    self.check_read(a.block, &a.ixfn);
-                }
-                let in_views: Vec<View> = in_arrays.iter().map(|a| self.view(a)).collect();
-                let out_views: Vec<ViewMut> = dsts.iter().map(|a| self.view_mut(a)).collect();
-                let t0 = Instant::now();
-                // Parameter slots are overwritten per element; body-local
-                // slots are re-executed before any use, so the register
-                // file needs no per-element reset.
-                for i in 0..width {
-                    for (p, (view, a)) in ml.params.iter().zip(in_views.iter().zip(&in_arrays)) {
-                        let v = match a.elem {
-                            ElemType::F32 => Value::F32(view.get_f32(&[i])),
-                            ElemType::F64 => Value::F64(view.get_f64(&[i])),
-                            ElemType::I64 => Value::I64(view.get_i64(&[i])),
-                            ElemType::Bool => Value::Bool(view.get_i64(&[i]) != 0),
-                        };
-                        self.regs[*p as usize] = v;
-                    }
-                    self.exec_stream(&ml.body)?;
-                    for ((r, out), dst) in ml.results.iter().zip(&out_views).zip(&dsts) {
-                        let v = &self.regs[*r as usize];
-                        match dst.elem {
-                            ElemType::F32 => out.set_f32(&[i], v.as_f32()),
-                            ElemType::F64 => out.set_f64(&[i], v.as_f64()),
-                            ElemType::I64 => out.set_i64(&[i], v.as_i64()),
-                            ElemType::Bool => out.set_i64(&[i], v.as_bool() as i64),
-                        }
-                    }
-                }
-                self.stats.kernel_time += t0.elapsed();
-                self.stats.kernel_launches += width.max(0) as u64;
-                // The body's instructions moved `cur_stm`; provenance of
-                // the map's results is the map statement itself.
-                self.cur_stm = ml.stm_var;
-                for (d, dst) in ml.dests.iter().zip(dsts) {
-                    self.race_check(dst.block, &dst.ixfn, width);
-                    self.mark_write(dst.block, &dst.ixfn);
-                    self.regs[d.slot as usize] = Value::Array(dst);
-                }
-            }
-            Instr::Update(u) => {
-                let dst_a = self.regs[u.dst as usize].as_array().clone();
-                // Pure mode: the update result is a fresh copy of dst with
-                // the slice overwritten (true value semantics).
-                let result = if self.mode == Mode::Pure {
-                    let fresh = self.fresh_dest(&u.dest)?;
-                    let sv = self.view(&dst_a);
-                    let dv = self.view_mut(&fresh);
-                    copy_view(&dv, &sv);
-                    fresh
-                } else {
-                    dst_a.clone()
-                };
-                if let LSlice::Scatter(idx_slot) = &u.slice {
-                    // Runtime-indexed write: element `k` of the source
-                    // lands at flat position `idx[k]` of the destination.
-                    // Lanes run in ascending order serially, so duplicate
-                    // indices are legal and the last write wins — the
-                    // schedule `par_safety` pinned with
-                    // `ParReject::RuntimeIndexedWrite`.
-                    let idx_a = self.regs[*idx_slot as usize].as_array().clone();
-                    if idx_a.elem != ElemType::I64 {
-                        return Err("scatter index array must be i64".into());
-                    }
-                    let LUpdateSrc::Array(s) = &u.src else {
-                        return Err("scatter requires an array source".into());
-                    };
-                    let src_a = self.regs[*s as usize].as_array().clone();
-                    self.check_read(idx_a.block, &idx_a.ixfn);
-                    self.check_read(src_a.block, &src_a.ixfn);
-                    let iv = self.view(&idx_a);
-                    let sv = self.view(&src_a);
-                    let dview = self.view_mut(&result);
-                    let n = iv.num_elems();
-                    if sv.num_elems() != n {
-                        return Err(format!(
-                            "scatter source holds {} elements for {} indices",
-                            sv.num_elems(),
-                            n
-                        ));
-                    }
-                    let extent = result.ixfn.num_elems();
-                    let src_shape = sv.shape();
-                    let dst_shape = dview.shape();
-                    let t = Instant::now();
-                    let mut lanes_written = 0u64;
-                    for k in 0..n.max(0) {
-                        let j = iv.get_i64_flat(k);
-                        if j < 0 || j >= extent {
-                            if self.checked() {
-                                let d = Diagnostic::IndexOutOfBounds {
-                                    stm: self.stm_name(),
-                                    lane: k,
-                                    index: j,
-                                    extent,
-                                };
-                                self.diag(d);
-                                continue;
-                            }
-                            return Err(format!(
-                                "scatter index {j} out of bounds for {extent} elements (lane {k})"
-                            ));
-                        }
-                        match result.elem {
-                            ElemType::F32 => dview.set_f32_flat(j, sv.get_f32_flat(k)),
-                            ElemType::F64 => dview.set_f64(
-                                &unflat(&dst_shape, j),
-                                sv.get_f64(&unflat(&src_shape, k)),
-                            ),
-                            ElemType::I64 | ElemType::Bool => {
-                                dview.set_i64_flat(j, sv.get_i64_flat(k))
-                            }
-                        }
-                        lanes_written += 1;
-                        if self.store.shadow_enabled() {
-                            let off = result.ixfn.index(&unflat(&dst_shape, j));
-                            self.mark_cell(result.block, off);
-                        }
-                    }
-                    self.stats.copy_time += t.elapsed();
-                    self.stats.bytes_copied += lanes_written * result.elem.size_bytes() as u64;
-                    self.stats.num_copies += 1;
-                    self.regs[u.dest.slot as usize] = Value::Array(result);
-                    return Ok(());
-                }
-                let slice_ixfn = match &u.slice {
-                    LSlice::Tr { tr, vars } => {
-                        let lookup = slot_lookup(vars, &self.regs);
-                        apply_transform_concrete(&result.ixfn, tr, &lookup)
-                    }
-                    LSlice::Point(es) => {
-                        let mut fixed = Vec::with_capacity(es.len());
-                        for e in es {
-                            let v = self.eval_lexp(e)?.as_i64();
-                            fixed.push(TripletSlice::Fix(Poly::constant(v)));
-                        }
-                        apply_transform_concrete(&result.ixfn, &Transform::Slice(fixed), &|_| None)
-                    }
-                    LSlice::Scatter(_) => unreachable!("scatter handled above"),
-                }
-                .ok_or_else(|| "bad slice".to_string())?;
-                // The language's dynamic legality check for LMAD-slice
-                // updates (§III-B): the written positions must not
-                // self-overlap.
-                if u.lmad_slice {
-                    if let Some(l) = slice_ixfn.as_single() {
-                        if !lmad_slice_is_injective(l) {
-                            return Err("LMAD-slice update writes overlapping positions".into());
-                        }
-                    }
-                }
-                match &u.src {
-                    LUpdateSrc::Scalar(se) => {
-                        let v = self.eval_lexp(se)?;
-                        let dview = ViewMut::new(self.store.raw(result.block), slice_ixfn.clone());
-                        let n = dview.num_elems();
-                        for f in 0..n.max(0) {
-                            match result.elem {
-                                ElemType::F32 => dview.set_f32_flat(f, v.as_f32()),
-                                ElemType::F64 => {
-                                    let idx = unflat(&dview.shape(), f);
-                                    dview.set_f64(&idx, v.as_f64());
-                                }
-                                ElemType::I64 | ElemType::Bool => dview.set_i64_flat(f, v.as_i64()),
-                            }
-                        }
-                        self.mark_write(result.block, &slice_ixfn);
-                    }
-                    LUpdateSrc::Array(s) => {
-                        let src_a = self.regs[*s as usize].as_array().clone();
-                        // Read check either way: an elided update's source
-                        // was constructed directly in the destination
-                        // slice, so its cells must already be written there.
-                        self.check_read(src_a.block, &src_a.ixfn);
-                        if u.elided && self.mem_like() {
-                            let bytes =
-                                src_a.ixfn.num_elems() as u64 * src_a.elem.size_bytes() as u64;
-                            self.stats.bytes_elided += bytes;
-                            self.stats.num_elided += 1;
-                        } else {
-                            let sv = self.view(&src_a);
-                            let dview =
-                                ViewMut::new(self.store.raw(result.block), slice_ixfn.clone());
-                            let t = Instant::now();
-                            let bytes = copy_view(&dview, &sv);
-                            self.stats.copy_time += t.elapsed();
-                            self.stats.bytes_copied += bytes;
-                            self.stats.num_copies += 1;
-                            self.mark_write(result.block, &slice_ixfn);
-                        }
-                    }
-                }
-                self.regs[u.dest.slot as usize] = Value::Array(result);
-            }
+            Instr::MapKernel(mk) => self.map_kernel(mk)?,
+            Instr::MapLambda(ml) => self.map_lambda(ml)?,
+            Instr::Update(u) => self.update(u)?,
             Instr::Release { slot, site } => {
                 // Return blocks that just saw their last use to the free
                 // list. Checked mode records the release site: a later
@@ -1309,26 +1016,427 @@ impl Machine<'_> {
                     self.store.release_colored(incoming_id, *color, site);
                 }
             }
+            Instr::CopySlots { pairs } if pairs.len() == 1 => {
+                let (src, dst) = pairs[0];
+                self.copy_slot(src, dst);
+            }
             Instr::CopySlots { pairs } => {
                 // Two-phase: loop merge parameters may permute, so all
-                // sources are read before any destination is written.
-                let vals: Vec<Value> = pairs
-                    .iter()
-                    .map(|(src, _)| self.regs[*src as usize].clone())
-                    .collect();
-                for ((_, dst), v) in pairs.iter().zip(vals) {
+                // sources are read before any destination is written. The
+                // staging buffer is the machine's, reused across copies.
+                let mut vals = std::mem::take(&mut self.scratch);
+                vals.extend(
+                    pairs
+                        .iter()
+                        .map(|(src, _)| self.regs[*src as usize].clone()),
+                );
+                for ((_, dst), v) in pairs.iter().zip(vals.drain(..)) {
                     self.regs[*dst as usize] = v;
                 }
+                self.scratch = vals;
             }
             Instr::VerifyChecks { checks } => {
                 if self.checked() {
                     self.verify_checks(checks);
                 }
             }
-            Instr::Jump { .. } | Instr::JumpIfFalse { .. } | Instr::JumpIfGe { .. } => {
-                unreachable!("jumps are handled by exec_stream")
+            Instr::Jump { .. }
+            | Instr::JumpIfFalse { .. }
+            | Instr::JumpIfGe { .. }
+            | Instr::LoopNext { .. }
+            | Instr::Scalar(_) => unreachable!("handled by exec_stream"),
+        }
+        Ok(())
+    }
+
+    fn map_kernel(&mut self, mk: &MapKernelInstr) -> Result<(), String> {
+        let width = mk.width.eval(&self.regs).ok_or("unresolved map width")?;
+        let dst = self.fresh_dest(&mk.dest)?;
+        let kernel = match mk.kernel {
+            Some(k) => self.kernels.by_index(k).clone(),
+            None => return Err(format!("unregistered kernel {}", mk.kernel_name)),
+        };
+        let in_arrays: Vec<Arc<ArrayRef>> = mk
+            .inputs
+            .iter()
+            .map(|s| self.array(*s))
+            .collect::<Result<_, _>>()?;
+        for a in &in_arrays {
+            self.check_read(a.block, &a.ixfn);
+        }
+        let inputs: Vec<View> = in_arrays.iter().map(|a| self.view(a)).collect();
+        let argv: Vec<Value> = mk
+            .args
+            .iter()
+            .map(|a| self.eval(a))
+            .collect::<Result<_, _>>()?;
+        let row_shape_c: Vec<i64> = mk
+            .row_shape
+            .iter()
+            .map(|p| {
+                p.eval(&self.regs)
+                    .ok_or_else(|| "unresolved row shape".to_string())
+            })
+            .collect::<Result<_, _>>()?;
+        let row_elems: i64 = row_shape_c.iter().product();
+        let scalar_rows = row_shape_c.is_empty();
+        let par_proven = matches!(mk.par, Some(ParLevel::Safe));
+        // Checked mode re-proves a `Safe` verdict concretely before
+        // dispatching: enumerate every iteration's write footprint and
+        // confirm no cell is written twice. A failed re-proof reports
+        // [`Diagnostic::ParOverlap`] and the map falls back to serial
+        // execution.
+        let precheck_ran = par_proven && self.checked();
+        let prechecked = precheck_ran && self.par_precheck(dst.block, &dst.ixfn, width);
+        // Pure mode writes rows directly (fresh dense memory never aliases
+        // inputs); Memory mode honours the pass's verdicts: `Safe` writes
+        // result memory directly, `Serial` means direct writes with
+        // *unproven* disjointness.
+        let direct = scalar_rows || mk.in_place || self.mode == Mode::Pure || par_proven;
+        let out_view = self.view_mut(&dst);
+        // Private per-worker row buffers for the non-in-place case: the
+        // mapnest's implicit result copy (§V-A(e)). The copy-out targets a
+        // worker-private row, so buffered maps parallelize freely; `Serial`
+        // maps never dispatch in parallel.
+        let workers = match self.mode {
+            Mode::Pure => self.threads,
+            Mode::Memory if matches!(mk.par, Some(ParLevel::Serial)) => 1,
+            Mode::Memory => self.threads,
+            // Under the sanitizer, only maps the pre-dispatch re-proof
+            // cleared may run parallel.
+            Mode::Checked => {
+                if prechecked {
+                    self.threads
+                } else {
+                    1
+                }
+            }
+        };
+        let temp_block = if direct {
+            None
+        } else {
+            Some(
+                self.store
+                    .alloc(mk.elem, (row_elems * workers as i64).max(0) as usize),
+            )
+        };
+        let temp_raw = temp_block.map(|b| self.store.raw(b));
+        let t0 = Instant::now();
+        let info = parallel_for_worker(workers, width, |i, w| {
+            let row = out_view.row(i);
+            if direct {
+                let ctx = KernelCtx {
+                    i,
+                    inputs: &inputs,
+                    args: &argv,
+                    out: row,
+                };
+                kernel(&ctx);
+            } else {
+                // Build the private row, then copy it out.
+                let mut priv_lmad = ConcreteLmad::row_major(&row_shape_c);
+                priv_lmad.offset = w as i64 * row_elems;
+                let priv_row = ViewMut::new(temp_raw.unwrap(), ConcreteIxFn::from_lmad(priv_lmad));
+                let ctx = KernelCtx {
+                    i,
+                    inputs: &inputs,
+                    args: &argv,
+                    out: priv_row.clone(),
+                };
+                kernel(&ctx);
+                copy_view(&row, &priv_row.as_view());
+            }
+        });
+        self.stats.kernel_time += t0.elapsed();
+        self.stats.kernel_launches += width.max(0) as u64;
+        self.stats.pool_dispatches += info.dispatched as u64;
+        if info.dispatched {
+            self.stats.par_chunks += info.chunks;
+            self.stats.par_chunks_stolen += info.chunks_stolen;
+            self.stats.par_workers_engaged += info.workers_engaged as u64;
+            self.stats.par_workers_offered += info.workers_offered as u64;
+            if par_proven && direct && self.mem_like() {
+                self.stats.maps_parallel_in_place += 1;
             }
         }
+        // The private-row scratch dies with the dispatch; recycle it so
+        // the next non-in-place map pays no fresh alloc.
+        if let Some(b) = temp_block {
+            self.store.release(b);
+        }
+        if !direct {
+            let bytes = (width * row_elems).max(0) as u64 * mk.elem.size_bytes() as u64;
+            self.stats.bytes_copied += bytes;
+            self.stats.num_copies += width.max(0) as u64;
+        } else if mk.in_place && self.mem_like() && !scalar_rows {
+            let bytes = (width * row_elems).max(0) as u64 * mk.elem.size_bytes() as u64;
+            self.stats.bytes_elided += bytes;
+            self.stats.num_elided += width.max(0) as u64;
+        }
+        // Dynamic race detector: no two iterations of the map may write
+        // one cell. The kernel writes each row through the result's index
+        // function with the outer dim fixed, so enumerating those
+        // footprints covers its stores. For `par_safety`-approved maps the
+        // pre-dispatch re-proof already enumerated exactly these
+        // footprints (and reported any overlap as `ParOverlap`), so skip
+        // the post-hoc pass.
+        if !precheck_ran {
+            self.race_check(dst.block, &dst.ixfn, width);
+        }
+        self.mark_write(dst.block, &dst.ixfn);
+        self.regs[mk.dest.slot as usize] = Value::Array(dst);
+        Ok(())
+    }
+
+    /// An elementwise map over rank-1 inputs, its lowered body run once
+    /// per element.
+    fn map_lambda(&mut self, ml: &MapLambdaInstr) -> Result<(), String> {
+        let width = ml.width.eval(&self.regs).ok_or("unresolved map width")?;
+        let dsts: Vec<Arc<ArrayRef>> = ml
+            .dests
+            .iter()
+            .map(|d| self.fresh_dest(d))
+            .collect::<Result<_, _>>()?;
+        let in_arrays: Vec<Arc<ArrayRef>> = ml
+            .inputs
+            .iter()
+            .map(|s| self.array(*s))
+            .collect::<Result<_, _>>()?;
+        for a in &in_arrays {
+            self.check_read(a.block, &a.ixfn);
+        }
+        let in_views: Vec<View> = in_arrays.iter().map(|a| self.view(a)).collect();
+        let out_views: Vec<ViewMut> = dsts.iter().map(|a| self.view_mut(a)).collect();
+        let t0 = Instant::now();
+        // Parameter slots are overwritten per element; body-local slots
+        // are re-executed before any use, so the register file needs no
+        // per-element reset.
+        for i in 0..width {
+            for (p, (view, a)) in ml.params.iter().zip(in_views.iter().zip(&in_arrays)) {
+                let v = match a.elem {
+                    ElemType::F32 => Value::F32(view.get_f32_flat(i)),
+                    ElemType::F64 => Value::F64(view.get_f64_flat(i)),
+                    ElemType::I64 => Value::I64(view.get_i64_flat(i)),
+                    ElemType::Bool => Value::Bool(view.get_i64_flat(i) != 0),
+                };
+                self.regs[*p as usize] = v;
+            }
+            self.exec_stream(&ml.body)?;
+            for ((r, out), dst) in ml.results.iter().zip(&out_views).zip(&dsts) {
+                let v = &self.regs[*r as usize];
+                match dst.elem {
+                    ElemType::F32 => out.set_f32_flat(i, v.as_f32()),
+                    ElemType::F64 => out.set_f64_flat(i, v.as_f64()),
+                    ElemType::I64 => out.set_i64_flat(i, v.as_i64()),
+                    ElemType::Bool => out.set_i64_flat(i, v.as_bool() as i64),
+                }
+            }
+        }
+        self.stats.kernel_time += t0.elapsed();
+        self.stats.kernel_launches += width.max(0) as u64;
+        // The body's instructions moved `cur_stm`; provenance of the map's
+        // results is the map statement itself.
+        self.cur_stm = ml.stm_var;
+        for (d, dst) in ml.dests.iter().zip(dsts) {
+            self.race_check(dst.block, &dst.ixfn, width);
+            self.mark_write(dst.block, &dst.ixfn);
+            self.regs[d.slot as usize] = Value::Array(dst);
+        }
+        Ok(())
+    }
+
+    fn update(&mut self, u: &UpdateInstr) -> Result<(), String> {
+        // The result is the destination array itself — or, in Pure mode,
+        // a fresh copy of it with the slice overwritten (true value
+        // semantics) — bound to the result slot before the write.
+        let dest = u.dest.slot;
+        if self.mode == Mode::Pure {
+            let dst_a = self.array(u.dst)?;
+            let fresh = self.fresh_dest(&u.dest)?;
+            let sv = self.view(&dst_a);
+            let dv = self.view_mut(&fresh);
+            copy_view(&dv, &sv);
+            self.regs[dest as usize] = Value::Array(fresh);
+        } else {
+            self.array_ref(u.dst)?;
+            self.copy_slot(u.dst, dest);
+        }
+        if let (LSlice::Point(es), LUpdateSrc::Scalar(se)) = (&u.slice, &u.src) {
+            return self.point_update(dest, es, se);
+        }
+        let result = self.array(dest)?;
+        let slice_ixfn = match &u.slice {
+            LSlice::Scatter(idx) => return self.scatter(u, *idx, result),
+            LSlice::Point(es) => {
+                for e in es {
+                    self.run_ops(&e.ops)?;
+                }
+                let fixes: Vec<ConcreteSlice> = es
+                    .iter()
+                    .map(|e| ConcreteSlice::Fix(self.regs[e.slot as usize].as_i64()))
+                    .collect();
+                let mut ixfn = result.ixfn.clone();
+                ixfn.slice(&fixes).ok_or("bad slice")?;
+                ixfn
+            }
+            LSlice::Tr { tr, vars } => tr
+                .eval(&slot_lookup(vars, &self.regs))
+                .and_then(|t| result.ixfn.transform(&t))
+                .ok_or("bad slice")?,
+        };
+        // The language's dynamic legality check for LMAD-slice updates
+        // (§III-B): the written positions must not self-overlap.
+        if u.lmad_slice {
+            if let Some(l) = slice_ixfn.as_single() {
+                if !lmad_slice_is_injective(l) {
+                    return Err("LMAD-slice update writes overlapping positions".into());
+                }
+            }
+        }
+        match &u.src {
+            LUpdateSrc::Scalar(se) => {
+                let v = self.eval(se)?;
+                let dview = ViewMut::new(self.store.raw(result.block), slice_ixfn);
+                let n = dview.num_elems();
+                for f in 0..n.max(0) {
+                    match result.elem {
+                        ElemType::F32 => dview.set_f32_flat(f, v.as_f32()),
+                        ElemType::F64 => dview.set_f64_flat(f, v.as_f64()),
+                        ElemType::I64 | ElemType::Bool => dview.set_i64_flat(f, v.as_i64()),
+                    }
+                }
+                self.mark_write(result.block, dview.ixfn());
+            }
+            LUpdateSrc::Array(s) => {
+                let src_a = self.array(*s)?;
+                // Read check either way: an elided update's source was
+                // constructed directly in the destination slice, so its
+                // cells must already be written there.
+                self.check_read(src_a.block, &src_a.ixfn);
+                if u.elided && self.mem_like() {
+                    let bytes = src_a.ixfn.num_elems() as u64 * src_a.elem.size_bytes() as u64;
+                    self.stats.bytes_elided += bytes;
+                    self.stats.num_elided += 1;
+                } else {
+                    let sv = self.view(&src_a);
+                    let dview = ViewMut::new(self.store.raw(result.block), slice_ixfn);
+                    let t = Instant::now();
+                    let bytes = copy_view(&dview, &sv);
+                    self.stats.copy_time += t.elapsed();
+                    self.stats.bytes_copied += bytes;
+                    self.stats.num_copies += 1;
+                    self.mark_write(result.block, dview.ixfn());
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// A scalar written to one cell of the array in `slot`, addressed
+    /// directly through its index function — the loop body of every
+    /// histogram-style accumulation. No handle is cloned and no view built.
+    fn point_update(&mut self, slot: Slot, es: &[LExp], src: &LExp) -> Result<(), String> {
+        for e in es {
+            self.run_ops(&e.ops)?;
+        }
+        let a = self.array_ref(slot)?;
+        if es.len() != a.ixfn.rank() {
+            return Err("bad slice".into());
+        }
+        let (block, elem) = (a.block, a.elem);
+        let off = a
+            .ixfn
+            .index_iter(es.iter().map(|e| self.regs[e.slot as usize].as_i64()));
+        let v = self.eval(src)?;
+        let buf = self.store.raw(block);
+        match elem {
+            ElemType::F32 => buf.write_f32(off, v.as_f32()),
+            ElemType::F64 => buf.write_f64(off, v.as_f64()),
+            ElemType::I64 | ElemType::Bool => buf.write_i64(off, v.as_i64()),
+        }
+        self.mark_cell(block, off);
+        Ok(())
+    }
+
+    /// `regs[dst] = regs[src]`, skipping the reference-count traffic when
+    /// both already hold the same array (a loop's carried array after an
+    /// in-place update).
+    fn copy_slot(&mut self, src: Slot, dst: Slot) {
+        let (s, d) = (&self.regs[src as usize], &self.regs[dst as usize]);
+        if let (Value::Array(a), Value::Array(b)) = (s, d) {
+            if Arc::ptr_eq(a, b) {
+                return;
+            }
+        }
+        self.regs[dst as usize] = s.clone();
+    }
+
+    /// Runtime-indexed write: element `k` of the source lands at flat
+    /// position `idx[k]` of the destination. Lanes run in ascending order
+    /// serially, so duplicate indices are legal and the last write wins —
+    /// the schedule `par_safety` pinned with
+    /// `ParReject::RuntimeIndexedWrite`.
+    fn scatter(
+        &mut self,
+        u: &UpdateInstr,
+        idx_slot: Slot,
+        result: Arc<ArrayRef>,
+    ) -> Result<(), String> {
+        let idx_a = self.array(idx_slot)?;
+        if idx_a.elem != ElemType::I64 {
+            return Err("scatter index array must be i64".into());
+        }
+        let LUpdateSrc::Array(s) = &u.src else {
+            return Err("scatter requires an array source".into());
+        };
+        let src_a = self.array(*s)?;
+        self.check_read(idx_a.block, &idx_a.ixfn);
+        self.check_read(src_a.block, &src_a.ixfn);
+        let iv = self.view(&idx_a);
+        let sv = self.view(&src_a);
+        let dview = self.view_mut(&result);
+        let n = iv.num_elems();
+        if sv.num_elems() != n {
+            return Err(format!(
+                "scatter source holds {} elements for {} indices",
+                sv.num_elems(),
+                n
+            ));
+        }
+        let extent = result.ixfn.num_elems();
+        let t = Instant::now();
+        let mut lanes_written = 0u64;
+        for k in 0..n.max(0) {
+            let j = iv.get_i64_flat(k);
+            if j < 0 || j >= extent {
+                if self.checked() {
+                    let d = Diagnostic::IndexOutOfBounds {
+                        stm: self.stm_name(),
+                        lane: k,
+                        index: j,
+                        extent,
+                    };
+                    self.diag(d);
+                    continue;
+                }
+                return Err(format!(
+                    "scatter index {j} out of bounds for {extent} elements (lane {k})"
+                ));
+            }
+            match result.elem {
+                ElemType::F32 => dview.set_f32_flat(j, sv.get_f32_flat(k)),
+                ElemType::F64 => dview.set_f64_flat(j, sv.get_f64_flat(k)),
+                ElemType::I64 | ElemType::Bool => dview.set_i64_flat(j, sv.get_i64_flat(k)),
+            }
+            lanes_written += 1;
+            if self.store.shadow_enabled() {
+                let off = result.ixfn.index_flat(j);
+                self.mark_cell(result.block, off);
+            }
+        }
+        self.stats.copy_time += t.elapsed();
+        self.stats.bytes_copied += lanes_written * result.elem.size_bytes() as u64;
+        self.stats.num_copies += 1;
         Ok(())
     }
 
@@ -1417,7 +1525,6 @@ impl Machine<'_> {
             }
         }
     }
-
     fn view(&mut self, a: &ArrayRef) -> View {
         View::with_class(self.store.raw(a.block), a.ixfn.clone(), a.class)
     }
@@ -1426,11 +1533,25 @@ impl Machine<'_> {
         ViewMut::with_class(self.store.raw(a.block), a.ixfn.clone(), a.class)
     }
 
+    /// The array in `slot`; a malformed plan is an error, not a panic.
+    fn array_ref(&self, slot: Slot) -> Result<&Arc<ArrayRef>, String> {
+        match &self.regs[slot as usize] {
+            Value::Array(a) => Ok(a),
+            v => Err(format!("slot %{slot} holds {v:?}, not an array")),
+        }
+    }
+
+    /// A handle on the array in `slot` (a reference-count bump, never a
+    /// deep copy).
+    fn array(&self, slot: Slot) -> Result<Arc<ArrayRef>, String> {
+        self.array_ref(slot).cloned()
+    }
+
     /// Resolve the destination array for a fresh creation: in `Memory`
     /// mode this honours the lowered binding (block slot + index function,
     /// with the access class precomputed when static); in `Pure` mode a
     /// fresh dense block is allocated.
-    fn fresh_dest(&mut self, d: &Dest) -> Result<ArrayRef, String> {
+    fn fresh_dest(&mut self, d: &Dest) -> Result<Arc<ArrayRef>, String> {
         if self.mem_like() {
             let md = d
                 .mem
@@ -1447,7 +1568,7 @@ impl Machine<'_> {
                 .ixfn
                 .eval_access(&self.regs)
                 .ok_or_else(|| format!("cannot evaluate index function of {}", d.var))?;
-            Ok(ArrayRef::with_class(block, d.elem, ixfn, class))
+            Ok(Arc::new(ArrayRef::with_class(block, d.elem, ixfn, class)))
         } else {
             let shape: Vec<i64> = d
                 .shape
@@ -1456,164 +1577,145 @@ impl Machine<'_> {
                 .collect::<Result<_, _>>()?;
             let n: i64 = shape.iter().product();
             let block = self.store.alloc(d.elem, n.max(0) as usize);
-            Ok(ArrayRef::new(
+            Ok(Arc::new(ArrayRef::new(
                 block,
                 d.elem,
                 ConcreteIxFn::row_major(&shape),
-            ))
+            )))
         }
     }
 
-    fn eval_lexp(&mut self, e: &LExp) -> Result<Value, String> {
-        Ok(match e {
-            LExp::Const(v) => v.clone(),
-            LExp::Slot(s) => self.regs[*s as usize].clone(),
-            LExp::Size(p) => Value::I64(p.eval(&self.regs).ok_or("unresolved size expression")?),
-            LExp::Bin(op, a, b) => {
-                let x = self.eval_lexp(a)?;
-                let y = self.eval_lexp(b)?;
-                eval_bin(*op, &x, &y)?
-            }
-            LExp::Un(op, a) => {
-                let x = self.eval_lexp(a)?;
-                eval_un(*op, &x)?
-            }
-            LExp::Index { arr, idx } => {
-                let a = self.regs[*arr as usize].as_array().clone();
-                let idx: Vec<i64> = idx
-                    .iter()
-                    .map(|i| Ok(self.eval_lexp(i)?.as_i64()))
-                    .collect::<Result<_, String>>()?;
-                if self.store.shadow_enabled() {
-                    let off = a.ixfn.index(&idx);
-                    self.check_cell(a.block, off, &a.ixfn);
+    /// Run a lowered expression's ops and read its value.
+    fn eval(&mut self, e: &LExp) -> Result<Value, String> {
+        self.run_ops(&e.ops)?;
+        Ok(self.regs[e.slot as usize].clone())
+    }
+
+    /// Execute flat register ops. Every op's operand types were fixed at
+    /// lower time, so each reads its operands in that type and writes one
+    /// register — no expression tree, no allocation.
+    fn run_ops(&mut self, ops: &[Op]) -> Result<(), String> {
+        let mut pc = 0;
+        while let Some(op) = ops.get(pc) {
+            pc += 1;
+            let r = &self.regs;
+            let (dst, v) = match *op {
+                Op::Mov { dst, src } => (dst, r[src as usize].clone()),
+                Op::Size { dst, ref p } => (
+                    dst,
+                    Value::I64(p.eval(r).ok_or("unresolved size expression")?),
+                ),
+                Op::ArithI64 { k, dst, a, b } => {
+                    let (x, y) = (r[a as usize].as_i64(), r[b as usize].as_i64());
+                    (dst, Value::I64(arith_i64(k, x, y)))
                 }
-                let view = self.view(&a);
-                match a.elem {
-                    ElemType::F32 => Value::F32(view.get_f32(&idx)),
-                    ElemType::F64 => Value::F64(view.get_f64(&idx)),
-                    ElemType::I64 => Value::I64(view.get_i64(&idx)),
-                    ElemType::Bool => Value::Bool(view.get_i64(&idx) != 0),
+                Op::ArithF32 { k, dst, a, b } => {
+                    let (x, y) = (r[a as usize].as_f32(), r[b as usize].as_f32());
+                    (dst, Value::F32(arith_float!(k, x, y)))
                 }
-            }
-            LExp::Select(c, t, f) => {
-                if self.eval_lexp(c)?.as_bool() {
-                    self.eval_lexp(t)?
-                } else {
-                    self.eval_lexp(f)?
+                Op::ArithF64 { k, dst, a, b } => {
+                    let (x, y) = (r[a as usize].as_f64(), r[b as usize].as_f64());
+                    (dst, Value::F64(arith_float!(k, x, y)))
                 }
-            }
+                Op::CmpI64 { k, dst, a, b } => {
+                    let (x, y) = (r[a as usize].as_i64(), r[b as usize].as_i64());
+                    (dst, Value::Bool(compare(k, x, y)))
+                }
+                Op::CmpF32 { k, dst, a, b } => {
+                    let (x, y) = (r[a as usize].as_f32(), r[b as usize].as_f32());
+                    (dst, Value::Bool(compare(k, x, y)))
+                }
+                Op::CmpF64 { k, dst, a, b } => {
+                    let (x, y) = (r[a as usize].as_f64(), r[b as usize].as_f64());
+                    (dst, Value::Bool(compare(k, x, y)))
+                }
+                Op::Logic { or, dst, a, b } => {
+                    let (x, y) = (r[a as usize].as_i64() != 0, r[b as usize].as_i64() != 0);
+                    (dst, Value::Bool(if or { x || y } else { x && y }))
+                }
+                Op::NegI64 { dst, a } => (dst, Value::I64(-r[a as usize].as_i64())),
+                Op::AbsI64 { dst, a } => (dst, Value::I64(r[a as usize].as_i64().abs())),
+                Op::MathF32 { k, dst, a } => {
+                    (dst, Value::F32(math_float!(k, r[a as usize].as_f32())))
+                }
+                Op::MathF64 { k, dst, a } => {
+                    (dst, Value::F64(math_float!(k, r[a as usize].as_f64())))
+                }
+                Op::Not { dst, a } => (dst, Value::Bool(!r[a as usize].as_bool())),
+                Op::Cvt { to, dst, a } => {
+                    let x = &r[a as usize];
+                    let v = match to {
+                        ElemType::F32 => Value::F32(x.as_f32()),
+                        ElemType::F64 => Value::F64(x.as_f64()),
+                        ElemType::I64 => Value::I64(x.as_i64()),
+                        ElemType::Bool => Value::Bool(x.as_bool()),
+                    };
+                    (dst, v)
+                }
+                Op::Load { dst, arr, ref idx } => (dst, self.load(arr, idx)?),
+                Op::JumpIfNot { cond, to } => {
+                    if !r[cond as usize].as_bool() {
+                        pc = to;
+                    }
+                    continue;
+                }
+                Op::Jump { to } => {
+                    pc = to;
+                    continue;
+                }
+                Op::Blame(v) => {
+                    self.cur_stm = Some(v);
+                    continue;
+                }
+                Op::Fail(msg) => return Err(msg.into()),
+            };
+            self.regs[dst as usize] = v;
+        }
+        Ok(())
+    }
+
+    /// A point read `arr[idx...]`: the element offset comes straight from
+    /// the array's index function and the coordinate registers (no view,
+    /// no index vector), then the block-bounds assert every access makes.
+    fn load(&mut self, arr: Slot, idx: &[Slot]) -> Result<Value, String> {
+        let a = self.array_ref(arr)?;
+        let (block, elem) = (a.block, a.elem);
+        let off = a
+            .ixfn
+            .index_iter(idx.iter().map(|s| self.regs[*s as usize].as_i64()));
+        if self.store.shadow_enabled() {
+            let a = self.array(arr)?;
+            self.check_cell(block, off, &a.ixfn);
+        }
+        let buf = self.store.raw(block);
+        Ok(match elem {
+            ElemType::F32 => Value::F32(buf.read_f32(off)),
+            ElemType::F64 => Value::F64(buf.read_f64(off)),
+            ElemType::I64 => Value::I64(buf.read_i64(off)),
+            ElemType::Bool => Value::Bool(buf.read_i64(off) != 0),
         })
     }
 }
 
-fn coerce(v: Value, elem: Option<ElemType>) -> Value {
-    match elem {
-        Some(ElemType::F32) => Value::F32(v.as_f32()),
-        Some(ElemType::F64) => Value::F64(v.as_f64()),
-        Some(ElemType::I64) => Value::I64(v.as_i64()),
-        Some(ElemType::Bool) => Value::Bool(v.as_bool()),
-        None => v,
+fn arith_i64(k: Arith, a: i64, b: i64) -> i64 {
+    match k {
+        Arith::Add => a + b,
+        Arith::Sub => a - b,
+        Arith::Mul => a * b,
+        Arith::Div => a.div_euclid(b),
+        Arith::Rem => a.rem_euclid(b),
+        Arith::Min => a.min(b),
+        Arith::Max => a.max(b),
     }
 }
 
-fn eval_bin(op: BinOp, x: &Value, y: &Value) -> Result<Value, String> {
-    use BinOp::*;
-    Ok(match (x, y) {
-        (Value::F32(_), _) | (_, Value::F32(_)) => {
-            let (a, b) = (x.as_f32(), y.as_f32());
-            match op {
-                Add => Value::F32(a + b),
-                Sub => Value::F32(a - b),
-                Mul => Value::F32(a * b),
-                Div => Value::F32(a / b),
-                Rem => Value::F32(a % b),
-                Min => Value::F32(a.min(b)),
-                Max => Value::F32(a.max(b)),
-                Eq => Value::Bool(a == b),
-                Ne => Value::Bool(a != b),
-                Lt => Value::Bool(a < b),
-                Le => Value::Bool(a <= b),
-                And | Or => return Err("boolean op on floats".into()),
-            }
-        }
-        (Value::F64(_), _) | (_, Value::F64(_)) => {
-            let (a, b) = (x.as_f64(), y.as_f64());
-            match op {
-                Add => Value::F64(a + b),
-                Sub => Value::F64(a - b),
-                Mul => Value::F64(a * b),
-                Div => Value::F64(a / b),
-                Rem => Value::F64(a % b),
-                Min => Value::F64(a.min(b)),
-                Max => Value::F64(a.max(b)),
-                Eq => Value::Bool(a == b),
-                Ne => Value::Bool(a != b),
-                Lt => Value::Bool(a < b),
-                Le => Value::Bool(a <= b),
-                And | Or => return Err("boolean op on floats".into()),
-            }
-        }
-        (Value::Bool(a), Value::Bool(b)) => match op {
-            And => Value::Bool(*a && *b),
-            Or => Value::Bool(*a || *b),
-            Eq => Value::Bool(a == b),
-            Ne => Value::Bool(a != b),
-            _ => return Err("arithmetic on booleans".into()),
-        },
-        _ => {
-            let (a, b) = (x.as_i64(), y.as_i64());
-            match op {
-                Add => Value::I64(a + b),
-                Sub => Value::I64(a - b),
-                Mul => Value::I64(a * b),
-                Div => Value::I64(a.div_euclid(b)),
-                Rem => Value::I64(a.rem_euclid(b)),
-                Min => Value::I64(a.min(b)),
-                Max => Value::I64(a.max(b)),
-                Eq => Value::Bool(a == b),
-                Ne => Value::Bool(a != b),
-                Lt => Value::Bool(a < b),
-                Le => Value::Bool(a <= b),
-                And => Value::Bool(a != 0 && b != 0),
-                Or => Value::Bool(a != 0 || b != 0),
-            }
-        }
-    })
-}
-
-fn eval_un(op: UnOp, x: &Value) -> Result<Value, String> {
-    use UnOp::*;
-    Ok(match op {
-        Neg => match x {
-            Value::F32(v) => Value::F32(-v),
-            Value::F64(v) => Value::F64(-v),
-            Value::I64(v) => Value::I64(-v),
-            _ => return Err("neg on non-number".into()),
-        },
-        Not => Value::Bool(!x.as_bool()),
-        Sqrt => match x {
-            Value::F64(v) => Value::F64(v.sqrt()),
-            v => Value::F32(v.as_f32().sqrt()),
-        },
-        Exp => match x {
-            Value::F64(v) => Value::F64(v.exp()),
-            v => Value::F32(v.as_f32().exp()),
-        },
-        Log => match x {
-            Value::F64(v) => Value::F64(v.ln()),
-            v => Value::F32(v.as_f32().ln()),
-        },
-        Abs => match x {
-            Value::F32(v) => Value::F32(v.abs()),
-            Value::F64(v) => Value::F64(v.abs()),
-            Value::I64(v) => Value::I64(v.abs()),
-            _ => return Err("abs on non-number".into()),
-        },
-        ToF32 => Value::F32(x.as_f32()),
-        ToF64 => Value::F64(x.as_f64()),
-        ToI64 => Value::I64(x.as_i64()),
-    })
+fn compare<T: PartialOrd>(k: Cmp, a: T, b: T) -> bool {
+    match k {
+        Cmp::Eq => a == b,
+        Cmp::Ne => a != b,
+        Cmp::Lt => a < b,
+        Cmp::Le => a <= b,
+    }
 }
 
 /// Sub-view of rows `[row, row+rows)` along the outer dimension.
@@ -1625,78 +1727,4 @@ fn slice_rows(v: &ViewMut, row: i64, rows: i64) -> ViewMut {
     logical.offset += row * stride;
     logical.dims[0] = (rows, stride);
     ViewMut::new(v.raw(), ixfn)
-}
-
-/// Unrank a flat position into an index vector.
-fn unflat(shape: &[i64], flat: i64) -> Vec<i64> {
-    let mut idx = vec![0i64; shape.len()];
-    arraymem_lmad::concrete::unrank(flat, shape, &mut idx);
-    idx
-}
-
-/// Evaluate a (symbolic) layout transform against a concrete index
-/// function by constantizing its polynomials and reusing the symbolic
-/// transform algebra.
-pub fn apply_transform_concrete(
-    ixfn: &ConcreteIxFn,
-    tr: &Transform,
-    lookup: &impl Fn(arraymem_symbolic::Sym) -> Option<i64>,
-) -> Option<ConcreteIxFn> {
-    let sym_ixfn = concrete_to_symbolic(ixfn);
-    let tr_c = constantize_transform(tr, lookup)?;
-    let out = sym_ixfn.transform(&tr_c)?;
-    out.eval(&|_| None)
-}
-
-fn concrete_to_symbolic(ixfn: &ConcreteIxFn) -> IndexFn {
-    IndexFn {
-        lmads: ixfn
-            .lmads
-            .iter()
-            .map(|l| {
-                Lmad::new(
-                    Poly::constant(l.offset),
-                    l.dims
-                        .iter()
-                        .map(|&(c, s)| {
-                            arraymem_lmad::Dim::new(Poly::constant(c), Poly::constant(s))
-                        })
-                        .collect(),
-                )
-            })
-            .collect(),
-    }
-}
-
-fn constantize_transform(
-    tr: &Transform,
-    lookup: &impl Fn(arraymem_symbolic::Sym) -> Option<i64>,
-) -> Option<Transform> {
-    let cp = |p: &Poly| -> Option<Poly> { Some(Poly::constant(p.eval(lookup)?)) };
-    Some(match tr {
-        Transform::Permute(p) => Transform::Permute(p.clone()),
-        Transform::Reverse(d) => Transform::Reverse(*d),
-        Transform::Reshape(s) => Transform::Reshape(s.iter().map(&cp).collect::<Option<_>>()?),
-        Transform::Slice(ts) => Transform::Slice(
-            ts.iter()
-                .map(|t| {
-                    Some(match t {
-                        TripletSlice::Range { start, len, step } => TripletSlice::Range {
-                            start: cp(start)?,
-                            len: cp(len)?,
-                            step: cp(step)?,
-                        },
-                        TripletSlice::Fix(i) => TripletSlice::Fix(cp(i)?),
-                    })
-                })
-                .collect::<Option<_>>()?,
-        ),
-        Transform::LmadSlice(l) => Transform::LmadSlice(Lmad::new(
-            cp(&l.offset)?,
-            l.dims
-                .iter()
-                .map(|d| Some(arraymem_lmad::Dim::new(cp(&d.card)?, cp(&d.stride)?)))
-                .collect::<Option<_>>()?,
-        )),
-    })
 }

@@ -217,7 +217,20 @@ impl ConcreteIxFn {
 
     /// Map a logical index to the flat element offset in the memory block.
     pub fn index(&self, idx: &[i64]) -> i64 {
-        let mut x = self.lmads.last().unwrap().apply(idx);
+        self.index_iter(idx.iter().copied())
+    }
+
+    /// [`index`](ConcreteIxFn::index) over coordinates produced on the
+    /// fly (the VM reads them straight from its registers, so a point
+    /// access builds no index vector). Extra coordinates are ignored, as
+    /// in [`ConcreteLmad::apply`].
+    #[inline]
+    pub fn index_iter(&self, idx: impl IntoIterator<Item = i64>) -> i64 {
+        let logical = self.lmads.last().unwrap();
+        let mut x = logical.offset;
+        for (y, &(_, s)) in idx.into_iter().zip(&logical.dims) {
+            x += y * s;
+        }
         for k in (0..self.lmads.len() - 1).rev() {
             // Unranking over an LMAD's own cardinalities followed by
             // `apply` is exactly `offset_of_flat` — no scratch index.
@@ -282,6 +295,109 @@ impl ConcreteIxFn {
         let n = self.num_elems().max(0);
         (0..n).map(|f| self.index_flat(f)).collect()
     }
+
+    /// Apply a change-of-layout transformation over `i64` — the runtime
+    /// half of [`crate::IndexFn::transform`], with the same results and
+    /// the same unsupported cases (`None`): a permutation or slice whose
+    /// length is not the rank, or a reversed dimension past it. A
+    /// permutation naming a dimension past the rank is also `None`.
+    pub fn transform(&self, t: &ConcreteTransform) -> Option<ConcreteIxFn> {
+        let mut out = self.clone();
+        let logical = out.lmads.last_mut().unwrap();
+        match t {
+            ConcreteTransform::Permute(p) => {
+                if p.len() != logical.rank() || p.iter().any(|&i| i >= logical.rank()) {
+                    return None;
+                }
+                logical.dims = p.iter().map(|&i| self.logical().dims[i]).collect();
+            }
+            ConcreteTransform::Reverse(d) => {
+                let (card, stride) = *logical.dims.get(*d)?;
+                logical.offset += (card - 1) * stride;
+                logical.dims[*d].1 = -stride;
+            }
+            ConcreteTransform::Slice(ts) => out.slice(ts)?,
+            ConcreteTransform::LmadSlice(s) => {
+                out.lmads.push(s.clone());
+                out.coalesce();
+            }
+            ConcreteTransform::Reshape(shape) => {
+                if logical.is_row_major_contiguous() {
+                    let offset = logical.offset;
+                    *logical = ConcreteLmad::row_major(shape);
+                    logical.offset = offset;
+                } else {
+                    out.lmads.push(ConcreteLmad::row_major(shape));
+                    out.coalesce();
+                }
+            }
+        }
+        Some(out)
+    }
+
+    /// Triplet-slice the logical LMAD in place (one entry per logical
+    /// dimension; `None` on a length mismatch, leaving `self` unchanged).
+    pub fn slice(&mut self, ts: &[ConcreteSlice]) -> Option<()> {
+        let logical = self.lmads.last_mut().unwrap();
+        if ts.len() != logical.rank() {
+            return None;
+        }
+        let mut offset = logical.offset;
+        let mut dims = Vec::with_capacity(ts.len());
+        for (sl, &(_, stride)) in ts.iter().zip(&logical.dims) {
+            match *sl {
+                ConcreteSlice::Range { start, len, step } => {
+                    offset += start * stride;
+                    dims.push((len, stride * step));
+                }
+                ConcreteSlice::Fix(i) => offset += i * stride,
+            }
+        }
+        logical.offset = offset;
+        logical.dims = dims;
+        Some(())
+    }
+
+    /// Shrink the chain the way the symbolic algebra does: a pushed LMAD
+    /// composes with a rank-1 predecessor (scale by its stride) or a
+    /// row-major contiguous one (add its offset).
+    fn coalesce(&mut self) {
+        while self.lmads.len() >= 2 {
+            let last = self.lmads.pop().unwrap();
+            let prev = self.lmads.last_mut().unwrap();
+            if prev.rank() == 1 {
+                let s = prev.dims[0].1;
+                prev.offset += last.offset * s;
+                prev.dims = last.dims.iter().map(|&(c, st)| (c, st * s)).collect();
+            } else if prev.is_row_major_contiguous() {
+                prev.offset += last.offset;
+                prev.dims = last.dims;
+            } else {
+                self.lmads.push(last);
+                return;
+            }
+        }
+    }
+}
+
+/// One dimension of a concrete triplet slice: a strided range (keeps the
+/// dimension) or a fixed index (drops it).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum ConcreteSlice {
+    Range { start: i64, len: i64, step: i64 },
+    Fix(i64),
+}
+
+/// A change-of-layout transformation with every quantity evaluated — the
+/// concrete mirror of [`crate::Transform`], applied by
+/// [`ConcreteIxFn::transform`].
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum ConcreteTransform {
+    Permute(Vec<usize>),
+    Slice(Vec<ConcreteSlice>),
+    LmadSlice(ConcreteLmad),
+    Reshape(Vec<i64>),
+    Reverse(usize),
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! Index functions: chains of LMADs mapping logical array indexes to flat
 //! offsets inside a memory block (paper §IV).
 
+use crate::concrete::{ConcreteSlice, ConcreteTransform};
 use crate::lmad::{Dim, Lmad};
 use arraymem_symbolic::{Poly, Sym};
 
@@ -89,6 +90,33 @@ impl Transform {
             Transform::Reshape(s) => s.clone(),
             Transform::Reverse(_) => in_shape.to_vec(),
         }
+    }
+
+    /// Evaluate every quantity, yielding the transform the runtime applies
+    /// with [`crate::ConcreteIxFn::transform`].
+    pub fn eval<F: Fn(Sym) -> Option<i64>>(&self, lookup: &F) -> Option<ConcreteTransform> {
+        Some(match self {
+            Transform::Permute(p) => ConcreteTransform::Permute(p.clone()),
+            Transform::Reverse(d) => ConcreteTransform::Reverse(*d),
+            Transform::Reshape(s) => {
+                ConcreteTransform::Reshape(s.iter().map(|p| p.eval(lookup)).collect::<Option<_>>()?)
+            }
+            Transform::Slice(ts) => ConcreteTransform::Slice(
+                ts.iter()
+                    .map(|t| {
+                        Some(match t {
+                            TripletSlice::Range { start, len, step } => ConcreteSlice::Range {
+                                start: start.eval(lookup)?,
+                                len: len.eval(lookup)?,
+                                step: step.eval(lookup)?,
+                            },
+                            TripletSlice::Fix(i) => ConcreteSlice::Fix(i.eval(lookup)?),
+                        })
+                    })
+                    .collect::<Option<_>>()?,
+            ),
+            Transform::LmadSlice(l) => ConcreteTransform::LmadSlice(l.eval(lookup)?),
+        })
     }
 }
 

@@ -29,7 +29,9 @@ mod ixfn;
 mod lmad;
 pub mod overlap;
 
-pub use concrete::{footprint_check, ConcreteIxFn, ConcreteLmad, FootprintCheck};
+pub use concrete::{
+    footprint_check, ConcreteIxFn, ConcreteLmad, ConcreteSlice, ConcreteTransform, FootprintCheck,
+};
 pub use ixfn::{IndexFn, OpaqueIxFn, Transform, TripletSlice};
 pub use lmad::{Dim, Lmad};
 

@@ -557,3 +557,131 @@ fn prop_reshape_semantics() {
         }
     }
 }
+
+/// A random transform of an array of `shape`: usually well-formed, with
+/// some slices past the array (the algebra does not bounds-check them)
+/// and, one time in eight, an unsupported shape (a permutation or slice
+/// of the wrong length, a reversed dimension past the rank). Slice starts
+/// are sometimes the symbol `ct_i`, bound to 1 by the lookup.
+fn arb_transform(r: &mut Rng64, shape: &[i64]) -> Transform {
+    let rank = shape.len();
+    let n: i64 = shape.iter().product();
+    let unsupported = r.i64_in(0, 8) == 0;
+    match r.i64_in(0, 5) {
+        0 => {
+            let len = if unsupported { rank + 1 } else { rank };
+            let mut p: Vec<usize> = (0..len).collect();
+            for k in (1..len).rev() {
+                p.swap(k, r.i64_incl(0, k as i64) as usize);
+            }
+            if unsupported {
+                p.retain(|&i| i < rank);
+                p.push(0);
+            }
+            Transform::Permute(p)
+        }
+        1 => Transform::Reverse(if unsupported {
+            rank
+        } else {
+            r.i64_in(0, rank.max(1) as i64) as usize
+        }),
+        2 => {
+            let mut ts: Vec<TripletSlice> = shape
+                .iter()
+                .map(|&card| {
+                    let start = r.i64_in(0, card.max(1));
+                    let start_p = if start == 1 && r.i64_in(0, 2) == 0 {
+                        Poly::var(sym("ct_i"))
+                    } else {
+                        c(start)
+                    };
+                    if r.i64_in(0, 3) == 0 {
+                        TripletSlice::Fix(start_p)
+                    } else {
+                        let step = r.i64_incl(1, 2);
+                        let len = r.i64_incl(1, ((card - start + step - 1) / step).max(1));
+                        TripletSlice::range(start_p, c(len), c(step))
+                    }
+                })
+                .collect();
+            if unsupported {
+                ts.push(TripletSlice::Fix(c(0)));
+            }
+            Transform::Slice(ts)
+        }
+        3 => {
+            // Split the element count into one or two factors.
+            let a = (1..=n).filter(|d| n % d == 0).nth(r.i64_in(0, 3) as usize);
+            match a {
+                Some(a) if r.i64_in(0, 2) == 0 => Transform::Reshape(vec![c(a), c(n / a)]),
+                _ => Transform::Reshape(vec![c(n)]),
+            }
+        }
+        _ => {
+            // An LMAD over the flat row-major space, inside `[0, n)`.
+            let off = r.i64_in(0, n.max(1));
+            let room = n - off;
+            let card = r.i64_incl(1, room.clamp(1, 4));
+            let stride = if card > 1 {
+                r.i64_incl(1, ((room - 1) / (card - 1)).max(1))
+            } else {
+                1
+            };
+            let dims = if card % 2 == 0 && r.i64_in(0, 2) == 0 {
+                vec![dim(c(2), c(stride * card / 2)), dim(c(card / 2), c(stride))]
+            } else {
+                vec![dim(c(card), c(stride))]
+            };
+            Transform::LmadSlice(Lmad::new(c(off), dims))
+        }
+    }
+}
+
+/// The concrete transform algebra the VM runs is the symbolic algebra
+/// evaluated: along random chains of transforms over random LMADs with
+/// negative strides (reshapes of non-contiguous layouts push a second
+/// LMAD), `ConcreteIxFn::transform(t.eval())` equals
+/// `IndexFn::transform(t).eval()`, and both reject the same unsupported
+/// transforms.
+#[test]
+fn prop_concrete_transform_matches_symbolic() {
+    let lookup = |s: Sym| (s == sym("ct_i")).then_some(1);
+    let mut r = Rng64::new(0xC0C7);
+    let (mut multi, mut rejected) = (0, 0);
+    for case in 0..400 {
+        let mut l = arb_lmad(&mut r);
+        for d in &mut l.dims {
+            if d.card == c(1) && r.i64_in(0, 2) == 0 {
+                d.card = c(3); // room for slices and reversals
+            }
+        }
+        let mut sym_ix = IndexFn::from_lmad(l);
+        let mut con_ix = sym_ix.eval(&lookup).unwrap();
+        for step in 0..6 {
+            let t = arb_transform(&mut r, &con_ix.shape());
+            let want = sym_ix.transform(&t);
+            let got = con_ix.transform(&t.eval(&lookup).unwrap());
+            match (want, got) {
+                (None, None) => rejected += 1,
+                (Some(w), Some(g)) => {
+                    assert_eq!(
+                        w.eval(&lookup).unwrap(),
+                        g,
+                        "case {case} step {step}: {t:?} of {sym_ix:?}"
+                    );
+                    multi += usize::from(g.lmads.len() > 1);
+                    sym_ix = w;
+                    con_ix = g;
+                }
+                (w, g) => panic!(
+                    "case {case} step {step}: {t:?} of {sym_ix:?}: symbolic {w:?}, concrete {g:?}"
+                ),
+            }
+        }
+    }
+    assert!(multi > 20, "too few multi-LMAD chains exercised: {multi}");
+    assert!(
+        rejected > 20,
+        "too few unsupported transforms exercised: {rejected}"
+    );
+}

@@ -292,14 +292,15 @@ impl Server {
             req.mode,
             self.config.threads,
         );
+        // End-of-run blocks feed the arena so any tenant's next
+        // allocation can recycle them. A failed run released its blocks
+        // exactly like a successful one, so they are donated too.
+        st.store.donate_free_blocks();
         let (out, mut stats) = result.map_err(ServerError::Execution)?;
         stats.plan_cache_hit = outcome.hit;
         stats.plan_build_time = outcome.build_time;
         st.agg.runs += 1;
         st.agg.stats.merge(&stats);
-        // End-of-run blocks feed the arena so any tenant's next
-        // allocation can recycle them.
-        st.store.donate_free_blocks();
         Ok((out, stats))
     }
 

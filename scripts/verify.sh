@@ -15,6 +15,12 @@ cargo fmt --check
 echo "== build (release, offline) =="
 cargo build --release --offline --workspace
 
+echo "== benchmark build (perfbench, release, offline) =="
+# perfbench is a package of its own that uses the crates' public API
+# only; building it here makes an API change that breaks the benchmark
+# fail locally.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== lint (clippy, warnings are errors) =="
 cargo clippy --offline --all-targets -- -D warnings
 
