@@ -20,6 +20,7 @@ fn run(case: &w::Case, opts: &Options) -> std::time::Duration {
     let compiled = compile(&case.program, opts).unwrap();
     let (_, stats) = run_program(
         &compiled.program,
+        &compiled.report,
         &case.inputs,
         &case.kernels,
         Mode::Memory,

@@ -509,15 +509,7 @@ pub fn measure_server_table(
                 let tenant = tenant_name(c);
                 let validate = &validate;
                 scope.spawn(move || -> Result<(), String> {
-                    let req = ExecRequest {
-                        program: &opt.program,
-                        kernels,
-                        checks: &[],
-                        merges: &opt.report.merges,
-                        par: &opt.report.par_safety,
-                        inputs,
-                        mode: Mode::Memory,
-                    };
+                    let req = ExecRequest::from_compiled(opt, kernels, &[], inputs, Mode::Memory);
                     for run in 0..runs_per_client {
                         let (out, _) = server
                             .execute(&tenant, req)
@@ -552,15 +544,8 @@ pub fn measure_server_table(
                 let tenant = tenant_name(c);
                 let validate = &validate;
                 scope.spawn(move || -> Result<(), String> {
-                    let req = ExecRequest {
-                        program: &opt.program,
-                        kernels,
-                        checks,
-                        merges: &opt.report.merges,
-                        par: &opt.report.par_safety,
-                        inputs,
-                        mode: Mode::Checked,
-                    };
+                    let req =
+                        ExecRequest::from_compiled(opt, kernels, checks, inputs, Mode::Checked);
                     let (out, _) = server
                         .execute(&tenant, req)
                         .map_err(|e| format!("client {c} ({tenant}, checked): {e}"))?;

@@ -79,18 +79,14 @@ pub struct Options {
     /// memory (§V-A(e)). Disabling keeps the per-instance private-row
     /// copy even where it is provably unnecessary.
     pub mapnest_in_place: bool,
-    /// Run the memory block merging pass ([`merge`]): non-interfering
+    /// Run the memory block merging pass ([`merge`]): whole-program
+    /// coloring of the allocation interference graph, so non-interfering
     /// allocations (disjoint live ranges, or provably disjoint LMAD
-    /// footprints) share one block, cutting peak allocation.
+    /// footprints) share one block — growing a host block when a later
+    /// member is provably larger — and dead loop-carried ping-pong blocks
+    /// are released per iteration
+    /// ([`merge::MergeRecord::CarriedRelease`]), cutting peak allocation.
     pub merge: bool,
-    /// Whole-program coloring inside the merge pass: build the full
-    /// interference graph over the candidate allocations, color it so
-    /// *k* allocations share the chromatic number's worth of blocks
-    /// (growing a host block when a later member is provably larger),
-    /// and release dead loop-carried ping-pong blocks per iteration
-    /// ([`merge::MergeRecord::CarriedRelease`]). Off, the pass degrades
-    /// to the legacy greedy pairwise first-fit.
-    pub coloring: bool,
     /// Run the parallel-safety analysis ([`par_safety`]): prove per
     /// kernel mapnest that iterations write disjoint rows, so the
     /// executor can dispatch them in parallel without private-row
@@ -106,11 +102,6 @@ pub struct Options {
     /// candidates into a host block anyway; the checked VM's merge
     /// cross-check must catch the resulting footprint overlaps.
     pub force_unsafe_merge: bool,
-    /// **Test-only mutation hook.** Mark every kernel mapnest
-    /// parallel-safe regardless of proof; the checked VM's pre-dispatch
-    /// enumeration must catch the resulting overlaps (as
-    /// `Diagnostic::ParOverlap`) and serialize the map.
-    pub force_unsafe_parallel: bool,
 }
 
 impl Default for Options {
@@ -121,41 +112,22 @@ impl Default for Options {
             hoist: true,
             mapnest_in_place: true,
             merge: false,
-            coloring: false,
             par_safety: true,
             force_unsafe_short_circuit: false,
             force_unsafe_merge: false,
-            force_unsafe_parallel: false,
         }
     }
-}
-
-/// Whether [`Options::optimized`] defaults to whole-program coloring:
-/// `true` unless the `ARRAYMEM_COLORING` environment variable is set to
-/// `0`/`off`/`false` (the CI toggle sweep runs the whole suite in both
-/// positions). Read once.
-pub fn coloring_default() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| match std::env::var("ARRAYMEM_COLORING") {
-        Ok(v) => {
-            let v = v.trim();
-            !(v == "0" || v.eq_ignore_ascii_case("off") || v.eq_ignore_ascii_case("false"))
-        }
-        Err(_) => true,
-    })
 }
 
 impl Options {
     /// The standard optimized configuration: short-circuiting and block
     /// merging on, with every supporting ingredient (hoisting, in-place
     /// mapnests) at its default. `Options::default()` is the unoptimized
-    /// baseline. Coloring follows [`coloring_default`] (on unless
-    /// `ARRAYMEM_COLORING=0`).
+    /// baseline.
     pub fn optimized() -> Options {
         Options {
             short_circuit: true,
             merge: true,
-            coloring: coloring_default(),
             ..Options::default()
         }
     }

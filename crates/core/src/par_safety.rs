@@ -32,10 +32,6 @@
 //! [`Report::par_safety`](crate::Report) — the same transport the circuit
 //! checks and merge records use — and lowering threads them into the
 //! `ExecPlan`'s map instructions.
-//!
-//! The `force_unsafe_parallel` mutation hook upgrades every kernel map to
-//! `Safe` regardless of proof, so tests can demonstrate the checked VM's
-//! `ParOverlap` detector actually fires.
 
 use crate::remark::ParReject;
 use crate::short_circuit::{ixfn_set, rowwise_map_disjoint};
@@ -64,16 +60,12 @@ pub struct ParSafetyRecord {
     /// First pattern variable of the map statement.
     pub stm: Var,
     pub level: ParLevel,
-    /// For non-`Safe` verdicts (or forced ones): the failed proof.
+    /// For non-`Safe` verdicts: the failed proof.
     pub reject: Option<ParReject>,
-    /// Set when `force_unsafe_parallel` overrode the analysis to `Safe`.
-    pub forced: bool,
 }
 
 /// Analyze every kernel mapnest of `prog`, returning one record per map.
-/// `force_unsafe` is the test-only mutation hook: every verdict becomes
-/// [`ParLevel::Safe`] (the genuine reject, if any, is kept on the record).
-pub fn par_safety(prog: &Program, env: &Env, force_unsafe: bool) -> Vec<ParSafetyRecord> {
+pub fn par_safety(prog: &Program, env: &Env) -> Vec<ParSafetyRecord> {
     let mut bindings: HashMap<Var, MemBinding> = HashMap::new();
     crate::introduce::collect_bindings(&prog.body, &mut bindings);
     for (v, ty) in &prog.params {
@@ -85,7 +77,7 @@ pub fn par_safety(prog: &Program, env: &Env, force_unsafe: bool) -> Vec<ParSafet
         }
     }
     let mut records = Vec::new();
-    walk(&prog.body, env, &bindings, force_unsafe, &mut records);
+    walk(&prog.body, env, &bindings, &mut records);
     records
 }
 
@@ -93,7 +85,6 @@ fn walk(
     block: &Block,
     env: &Env,
     bindings: &HashMap<Var, MemBinding>,
-    force: bool,
     out: &mut Vec<ParSafetyRecord>,
 ) {
     for stm in &block.stms {
@@ -105,12 +96,10 @@ fn walk(
                         .clone()
                         .or_else(|| bindings.get(&stm.pat[0].var).cloned());
                     let (level, reject) = classify(m, out_mb, env, bindings);
-                    let forced = force && level != ParLevel::Safe;
                     out.push(ParSafetyRecord {
                         stm: stm.pat[0].var,
-                        level: if force { ParLevel::Safe } else { level },
+                        level,
                         reject,
-                        forced,
                     });
                 }
             }
@@ -122,20 +111,16 @@ fn walk(
                 // write disjointness is unprovable, not merely unproven
                 // (see `arraymem_lmad::OpaqueIxFn`). The record pins the
                 // serial schedule — and enters the plan-cache key — so
-                // the give-up is observable, never silent. The
-                // `force_unsafe_parallel` hook deliberately does not
-                // apply: the executor has no parallel schedule for a
-                // scatter to be forced onto.
+                // the give-up is observable, never silent.
                 out.push(ParSafetyRecord {
                     stm: stm.pat[0].var,
                     level: ParLevel::Serial,
                     reject: Some(ParReject::RuntimeIndexedWrite),
-                    forced: false,
                 });
             }
             Exp::If { then_b, else_b, .. } => {
-                walk(then_b, env, bindings, force, out);
-                walk(else_b, env, bindings, force, out);
+                walk(then_b, env, bindings, out);
+                walk(else_b, env, bindings, out);
             }
             Exp::Loop {
                 index, count, body, ..
@@ -143,7 +128,7 @@ fn walk(
                 let mut env2 = env.clone();
                 env2.assume_ge(*index, 0);
                 env2.assume_le(*index, count.clone() - Poly::constant(1));
-                walk(body, &env2, bindings, force, out);
+                walk(body, &env2, bindings, out);
             }
             _ => {}
         }

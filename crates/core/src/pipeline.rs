@@ -343,12 +343,7 @@ impl Pass for MergePass {
     }
 
     fn run(&self, prog: &mut Program, cx: &mut PassCx) -> Result<(), String> {
-        let rep = crate::merge::merge_blocks(
-            prog,
-            &cx.opts.env,
-            cx.opts.coloring,
-            cx.opts.force_unsafe_merge,
-        );
+        let rep = crate::merge::merge_blocks(prog, &cx.opts.env, cx.opts.force_unsafe_merge);
         for m in &rep.merged {
             let how = match (m.forced, m.by_footprint) {
                 (true, _) => "forced past interference",
@@ -441,26 +436,17 @@ impl Pass for ParSafetyPass {
     }
 
     fn run(&self, prog: &mut Program, cx: &mut PassCx) -> Result<(), String> {
-        let records =
-            crate::par_safety::par_safety(prog, &cx.opts.env, cx.opts.force_unsafe_parallel);
+        let records = crate::par_safety::par_safety(prog, &cx.opts.env);
         for r in &records {
-            let (kind, message) = match (r.level, r.forced) {
-                (crate::par_safety::ParLevel::Safe, false) => (
+            let (kind, message) = match r.level {
+                crate::par_safety::ParLevel::Safe => (
                     RemarkKind::MapParallelSafe,
                     format!(
                         "mapnest {} proven parallel-safe: runs in place, in parallel",
                         r.stm
                     ),
                 ),
-                (crate::par_safety::ParLevel::Safe, true) => (
-                    RemarkKind::MapParallelSafe,
-                    format!(
-                        "mapnest {} FORCED parallel-safe past {:?}",
-                        r.stm,
-                        r.reject.expect("forced record keeps the genuine reject")
-                    ),
-                ),
-                (level, _) => {
+                level => {
                     let why = r
                         .reject
                         .expect("non-safe verdict must carry a structured reject");
@@ -576,13 +562,8 @@ impl Pipeline {
             .map(|s| s.to_string())
             .collect();
         parts.push(format!("mapnest_in_place={}", opts.mapnest_in_place));
-        parts.push(format!("coloring={}", opts.coloring));
         parts.push(format!("force_unsafe={}", opts.force_unsafe_short_circuit));
         parts.push(format!("force_unsafe_merge={}", opts.force_unsafe_merge));
-        parts.push(format!(
-            "force_unsafe_parallel={}",
-            opts.force_unsafe_parallel
-        ));
         crate::fingerprint::fingerprint_items(&parts)
     }
 

@@ -22,7 +22,7 @@
 //! a private single-shard cache unless constructed over a shared one.
 
 use crate::kernel::KernelRegistry;
-use crate::plan::{lower_plan_full, ExecPlan};
+use crate::plan::{lower_plan, ExecPlan};
 use arraymem_core::{CircuitCheck, MergeRecord, ParSafetyRecord};
 use arraymem_ir::Program;
 use std::collections::{HashMap, HashSet};
@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 pub struct PlanStats {
     /// Plans actually lowered (cache misses that won the build race).
     pub builds: u64,
-    /// `prepare` calls answered with an already-lowered plan — including
+    /// `prepare_full` calls answered with an already-lowered plan — including
     /// coalesced stampede waiters.
     pub cache_hits: u64,
     /// Total time spent lowering (cache misses only).
@@ -224,7 +224,7 @@ impl PlanCache {
                 hook();
             }
             let t0 = Instant::now();
-            let result = lower_plan_full(prog, kernels, checks, merges, par);
+            let result = lower_plan(prog, kernels, checks, merges, par);
             let dt = t0.elapsed();
             let published = result.map(|plan| {
                 let plan = Arc::new(plan);

@@ -590,7 +590,7 @@ pub(crate) struct ParamSpec {
 }
 
 /// An executable plan: the compiled-and-lowered form of one program.
-/// Build once with [`lower_plan`] (or via `Session::prepare`, which
+/// Build once with [`lower_plan`] (or via `Session::prepare_full`, which
 /// caches), execute many times in any [`crate::Mode`].
 #[derive(Clone, Debug)]
 pub struct ExecPlan {
@@ -635,80 +635,42 @@ impl ExecPlan {
 }
 
 /// Lower a program, computing its [`ReleasePlan`] here — once per plan,
-/// never per run. `checks` are the compile report's circuit checks (pass
-/// `&[]` when not running checked).
+/// never per run — together with every runtime obligation of its compile
+/// report: `checks` (the report's circuit checks; checked-mode runs
+/// re-prove each footprint pair, pass `&[]` when not running checked),
+/// `merges` (`Report::merges`: checked mode re-proves every
+/// footprint-justified merge, carried releases become `ReleaseCarried`
+/// instructions, and runs stamp `Stats::blocks_merged`) and `par`
+/// (`Report::par_safety`: each kernel map's dispatch schedule — parallel
+/// in-place, buffered, or serial).
 pub fn lower_plan(
     prog: &Program,
     kernels: &KernelRegistry,
     checks: &[CircuitCheck],
-) -> Result<ExecPlan, String> {
-    lower_plan_full(prog, kernels, checks, &[], &[])
-}
-
-/// [`lower_plan`] additionally lowering the compile report's
-/// [`MergeRecord`]s — checked-mode runs of the plan re-prove every
-/// footprint-justified merge concretely — and its [`ParSafetyRecord`]s,
-/// which pick each kernel map's dispatch schedule (parallel in-place,
-/// buffered, or serial).
-pub fn lower_plan_full(
-    prog: &Program,
-    kernels: &KernelRegistry,
-    checks: &[CircuitCheck],
     merges: &[MergeRecord],
     par: &[ParSafetyRecord],
 ) -> Result<ExecPlan, String> {
-    let release = ReleasePlan::compute(prog);
-    build_plan(prog, kernels, checks, merges, par, &release)
+    lower_plan_with(
+        prog,
+        kernels,
+        checks,
+        merges,
+        par,
+        &ReleasePlan::compute(prog),
+    )
 }
 
-/// [`lower_plan`] with a caller-supplied release plan (the test-only
-/// skew hook: `Session::run_with_plan` lowers under a deliberately wrong
-/// plan to prove the use-after-release detector fires).
+/// [`lower_plan`] under a caller-supplied release plan. Test-only: a
+/// deliberately wrong plan ([`ReleasePlan::compute_skewed_early`]) shows
+/// checked mode's use-after-release detector firing.
+#[doc(hidden)]
 pub fn lower_plan_with(
     prog: &Program,
     kernels: &KernelRegistry,
     checks: &[CircuitCheck],
-    release: &ReleasePlan,
-) -> Result<ExecPlan, String> {
-    build_plan_inner(prog, kernels, checks, &[], &[], release, false)
-}
-
-/// [`lower_plan_full`] with every carried release **skewed early** — the
-/// test-only mutation hook for the coloring pass: the incoming block is
-/// released right after the yield `alloc`, *before* its analyzed last
-/// use, so a checked-mode run must surface the premature release as a
-/// `UseAfterRelease` diagnostic (proving the carried-release re-proof
-/// actually fires).
-pub fn lower_plan_carried_skewed(
-    prog: &Program,
-    kernels: &KernelRegistry,
-    checks: &[CircuitCheck],
-    merges: &[MergeRecord],
-    par: &[ParSafetyRecord],
-) -> Result<ExecPlan, String> {
-    let release = ReleasePlan::compute(prog);
-    build_plan_inner(prog, kernels, checks, merges, par, &release, true)
-}
-
-fn build_plan(
-    prog: &Program,
-    kernels: &KernelRegistry,
-    checks: &[CircuitCheck],
     merges: &[MergeRecord],
     par: &[ParSafetyRecord],
     release: &ReleasePlan,
-) -> Result<ExecPlan, String> {
-    build_plan_inner(prog, kernels, checks, merges, par, release, false)
-}
-
-fn build_plan_inner(
-    prog: &Program,
-    kernels: &KernelRegistry,
-    checks: &[CircuitCheck],
-    merges: &[MergeRecord],
-    par: &[ParSafetyRecord],
-    release: &ReleasePlan,
-    skew_carried: bool,
 ) -> Result<ExecPlan, String> {
     let mut lw = Lowerer {
         scope: Scope::default(),
@@ -721,7 +683,6 @@ fn build_plan_inner(
         depth: 0,
         merge_checks: Vec::new(),
         pending_carried: Vec::new(),
-        skew_carried,
         consts: Vec::new(),
     };
     let mut params = Vec::with_capacity(prog.params.len());
@@ -864,10 +825,6 @@ struct Lowerer<'a> {
     /// slots), and the statement loop emits each one after its anchor
     /// statement.
     pending_carried: Vec<PendingCarried>,
-    /// Test-only: anchor every carried release at the yield `alloc`
-    /// instead of the analyzed last use, so checked mode can be shown to
-    /// catch a premature release.
-    skew_carried: bool,
     /// The constant pool: one slot per distinct constant.
     consts: Vec<(Slot, Value)>,
 }
@@ -1185,12 +1142,7 @@ impl Lowerer<'_> {
             if !self.pending_carried.is_empty() {
                 let pat0 = stm.pat.first().map(|p| p.var);
                 for i in 0..self.pending_carried.len() {
-                    let anchor = if self.skew_carried {
-                        self.pending_carried[i].yield_mem
-                    } else {
-                        self.pending_carried[i].anchor
-                    };
-                    if pat0 != Some(anchor) {
+                    if pat0 != Some(self.pending_carried[i].anchor) {
                         continue;
                     }
                     let outgoing = self.resolve(self.pending_carried[i].yield_mem)?;

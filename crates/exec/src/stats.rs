@@ -273,7 +273,7 @@ pub struct Stats {
     pub diagnostics: Vec<Diagnostic>,
     /// Diagnostics dropped beyond the per-run cap.
     pub diagnostics_suppressed: u64,
-    /// Whether this run's `prepare` was answered from the session's plan
+    /// Whether this run's `prepare_full` was answered from the session's plan
     /// cache (the harness asserts warm runs never re-lower).
     pub plan_cache_hit: bool,
     /// Time the session spent lowering the plan for this run (zero on a

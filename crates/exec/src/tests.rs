@@ -6,7 +6,7 @@
 use crate::kernel::KernelRegistry;
 use crate::value::{InputValue, OutputValue};
 use crate::vm::{run_program, Mode};
-use arraymem_core::{compile, Options};
+use arraymem_core::{compile, Options, Report};
 use arraymem_ir::{Builder, ElemType, Program, ScalarExp, SliceSpec, Type, Var};
 use arraymem_lmad::{Dim, Lmad, Transform, TripletSlice};
 use arraymem_symbolic::{Env, Poly};
@@ -30,11 +30,19 @@ fn run_all(
 ) -> (Vec<OutputValue>, crate::Stats, crate::Stats) {
     let unopt = compile(prog, &Options::default().with_env(env.clone())).expect("unopt compile");
     let opt = compile(prog, &Options::optimized().with_env(env)).expect("opt compile");
-    let (pure_out, _) = run_program(prog, inputs, kernels, Mode::Pure, 1).expect("pure run");
-    let (unopt_out, unopt_stats) =
-        run_program(&unopt.program, inputs, kernels, Mode::Memory, 1).expect("unopt run");
+    let (pure_out, _) =
+        run_program(prog, &Report::default(), inputs, kernels, Mode::Pure, 1).expect("pure run");
+    let (unopt_out, unopt_stats) = run_program(
+        &unopt.program,
+        &unopt.report,
+        inputs,
+        kernels,
+        Mode::Memory,
+        1,
+    )
+    .expect("unopt run");
     let (opt_out, opt_stats) =
-        run_program(&opt.program, inputs, kernels, Mode::Memory, 1).expect("opt run");
+        run_program(&opt.program, &opt.report, inputs, kernels, Mode::Memory, 1).expect("opt run");
     assert_eq!(pure_out.len(), unopt_out.len());
     for ((a, b), ch) in pure_out.iter().zip(&unopt_out).zip(&opt_out) {
         assert!(a.approx_eq(b, 1e-6), "pure vs unopt mismatch");
@@ -327,6 +335,7 @@ fn overlapping_lmad_update_is_rejected_dynamically() {
     let kernels = KernelRegistry::new();
     let r = run_program(
         &compiled.program,
+        &compiled.report,
         &[InputValue::ArrayF32(vec![0.0; 8])],
         &kernels,
         Mode::Memory,
@@ -393,7 +402,15 @@ fn release_plan_recycles_chained_intermediates() {
     let kernels = KernelRegistry::new();
     let data: Vec<f32> = (0..64).map(|i| i as f32).collect();
     let inputs = vec![InputValue::I64(64), InputValue::ArrayF32(data.clone())];
-    let (out, stats) = run_program(&compiled.program, &inputs, &kernels, Mode::Memory, 1).unwrap();
+    let (out, stats) = run_program(
+        &compiled.program,
+        &compiled.report,
+        &inputs,
+        &kernels,
+        Mode::Memory,
+        1,
+    )
+    .unwrap();
     assert_eq!(out[0].as_f32s(), &data[..]);
     assert!(
         (stats.num_allocs as usize) < chain,
@@ -441,17 +458,20 @@ fn session_reuse_is_equivalence_preserving() {
     let rows = 12usize;
     let data: Vec<f32> = (0..rows * 16).map(|i| (i as f32).sin()).collect();
     let inputs = vec![InputValue::I64(rows as i64), InputValue::ArrayF32(data)];
-    let (fresh_out, fresh_stats) = crate::Session::new()
-        .run(&compiled.program, &inputs, &kernels, Mode::Memory, 2)
-        .unwrap();
+    let run = |session: &mut crate::Session| {
+        let r = &compiled.report;
+        let h = session
+            .prepare_full(&compiled.program, &kernels, &[], &r.merges, &r.par_safety)
+            .unwrap();
+        session
+            .run_plan(h, &inputs, &kernels, Mode::Memory, 2)
+            .unwrap()
+    };
+    let (fresh_out, fresh_stats) = run(&mut crate::Session::new());
     assert!(fresh_stats.num_allocs > 0);
     let mut session = crate::Session::new();
-    let (first, _) = session
-        .run(&compiled.program, &inputs, &kernels, Mode::Memory, 2)
-        .unwrap();
-    let (second, warm_stats) = session
-        .run(&compiled.program, &inputs, &kernels, Mode::Memory, 2)
-        .unwrap();
+    let (first, _) = run(&mut session);
+    let (second, warm_stats) = run(&mut session);
     for ((a, b_), c_) in fresh_out.iter().zip(&first).zip(&second) {
         assert!(a.approx_eq(b_, 0.0), "fresh vs reused-session run 1");
         assert!(a.approx_eq(c_, 0.0), "fresh vs reused-session run 2");

@@ -1,6 +1,6 @@
 //! The plan executor.
 //!
-//! Programs are not interpreted from the IR tree: [`Session::prepare`]
+//! Programs are not interpreted from the IR tree: [`Session::prepare_full`]
 //! lowers a compiled program once into a flat [`ExecPlan`] (see
 //! [`crate::plan`]) and caches it by a structural fingerprint;
 //! [`Session::run_plan`] then replays the instruction stream against a
@@ -30,9 +30,10 @@
 //!   promised: no read of a never-written cell in a recycled block (the
 //!   zero-fill elision's obligation), no read of a released block (the
 //!   last-use plan's obligation), no two map iterations writing one cell
-//!   (the in-place mapnest's obligation), and — via
-//!   [`Session::run_with_checks`] — concrete disjointness of every
-//!   footprint pair a short-circuit's symbolic non-overlap test approved.
+//!   (the in-place mapnest's obligation), and — for the circuit checks
+//!   lowered into the plan ([`Session::prepare_full`]) — concrete
+//!   disjointness of every footprint pair a short-circuit's symbolic
+//!   non-overlap test approved.
 //!   Mapnests the `par_safety` stage proved safe are **not** serialized:
 //!   their chunk disjointness is re-proved concretely by enumeration
 //!   before each dispatch, and only a failed re-proof (reported as
@@ -45,16 +46,15 @@
 use crate::cache::PlanCache;
 use crate::kernel::{KernelCtx, KernelRegistry};
 use crate::plan::{
-    lower_plan_with, slot_lookup, Arith, Cmp, Dest, ExecPlan, Instr, LExp, LSlice, LUpdateSrc,
-    MapKernelInstr, MapLambdaInstr, Math, Op, ParamSpec, Slot, Stream, UpdateInstr,
+    slot_lookup, Arith, Cmp, Dest, ExecPlan, Instr, LExp, LSlice, LUpdateSrc, MapKernelInstr,
+    MapLambdaInstr, Math, Op, ParamSpec, Slot, Stream, UpdateInstr,
 };
 use crate::pool::parallel_for_worker;
 use crate::stats::{Diagnostic, Stats};
 use crate::store::{CellState, MemStore};
 use crate::value::{ArrayRef, InputValue, OutputValue, Value};
 use crate::view::{copy_view, fix_outer, View, ViewMut};
-use arraymem_core::{CircuitCheck, MergeRecord, ReleasePlan};
-use arraymem_core::{ParLevel, ParSafetyRecord};
+use arraymem_core::{CircuitCheck, MergeRecord, ParLevel, ParSafetyRecord, Report};
 use arraymem_ir::validate::lmad_slice_is_injective;
 use arraymem_ir::{ElemType, Program, Type};
 use arraymem_lmad::{footprint_check, ConcreteIxFn, ConcreteLmad, ConcreteSlice, FootprintCheck};
@@ -154,7 +154,7 @@ pub struct Session {
     /// handles stay dense and session-scoped even over a shared cache.
     handles: Vec<Arc<ExecPlan>>,
     by_key: HashMap<u64, usize>,
-    /// Outcome of the most recent `prepare`: (was answered without
+    /// Outcome of the most recent `prepare_full`: (was answered without
     /// lowering, lowering time if not). Stamped onto the next run's
     /// [`Stats`].
     last_prepare: (bool, Duration),
@@ -194,35 +194,16 @@ impl Session {
         &mut self.store
     }
 
-    /// Lower `prog` into an executable plan, or return the cached handle
-    /// if this session has prepared a structurally identical program (same
-    /// IR fingerprint, same kernel registry, no checks) before.
-    pub fn prepare(
-        &mut self,
-        prog: &Program,
-        kernels: &KernelRegistry,
-    ) -> Result<PlanHandle, String> {
-        self.prepare_with_checks(prog, kernels, &[])
-    }
-
-    /// [`prepare`](Session::prepare) with checked-mode circuit checks
-    /// lowered into the plan (pass the compile report's
-    /// [`CircuitCheck`]s; they are part of the cache key).
-    pub fn prepare_with_checks(
-        &mut self,
-        prog: &Program,
-        kernels: &KernelRegistry,
-        checks: &[CircuitCheck],
-    ) -> Result<PlanHandle, String> {
-        self.prepare_full(prog, kernels, checks, &[], &[])
-    }
-
-    /// [`prepare_with_checks`](Session::prepare_with_checks) additionally
-    /// lowering the compile report's [`MergeRecord`]s (`Report::merges`)
-    /// and [`ParSafetyRecord`]s (`Report::par_safety`) into the plan:
-    /// checked-mode runs re-prove every footprint pair a
-    /// footprint-justified merge relied on and every chunk-disjointness
-    /// verdict a parallel map relied on, and the plan stamps
+    /// Lower `prog` with the compile report's runtime obligations into an
+    /// executable plan, or return the cached handle if this session has
+    /// prepared a structurally identical program with the same kernel
+    /// registry and record sets before. The records are the report's
+    /// [`CircuitCheck`]s (`Report::checks`; pass them for checked runs),
+    /// [`MergeRecord`]s (`Report::merges`) and [`ParSafetyRecord`]s
+    /// (`Report::par_safety`): checked-mode runs re-prove every footprint
+    /// pair a circuit or footprint-justified merge relied on and every
+    /// chunk-disjointness verdict a parallel map relied on, carried
+    /// releases recycle loop ping-pong blocks, and the plan stamps
     /// `Stats::blocks_merged`. All record sets are part of the cache key.
     pub fn prepare_full(
         &mut self,
@@ -279,111 +260,27 @@ impl Session {
             (out, stats)
         })
     }
-
-    /// Prepare (cached) and execute a program in one call.
-    pub fn run(
-        &mut self,
-        prog: &Program,
-        inputs: &[InputValue],
-        kernels: &KernelRegistry,
-        mode: Mode,
-        threads: usize,
-    ) -> Result<(Vec<OutputValue>, Stats), String> {
-        self.run_with_checks(prog, inputs, kernels, mode, threads, &[])
-    }
-
-    /// [`run`](Session::run), additionally cross-checking each recorded
-    /// short-circuit decision at runtime (checked mode only): the
-    /// candidate's write footprints and the destination's recorded later
-    /// uses are evaluated to concrete LMADs and every pair is proved
-    /// disjoint by enumeration, or reported as a
-    /// [`Diagnostic::CircuitOverlap`]. Pass the compile report's
-    /// [`CircuitCheck`]s (`Report::checks`).
-    pub fn run_with_checks(
-        &mut self,
-        prog: &Program,
-        inputs: &[InputValue],
-        kernels: &KernelRegistry,
-        mode: Mode,
-        threads: usize,
-        checks: &[CircuitCheck],
-    ) -> Result<(Vec<OutputValue>, Stats), String> {
-        self.run_full(prog, inputs, kernels, mode, threads, checks, &[], &[])
-    }
-
-    /// [`run_with_checks`](Session::run_with_checks) additionally carrying
-    /// the compile report's merge records (`Report::merges`) and
-    /// parallel-safety records (`Report::par_safety`) — the full set of
-    /// runtime obligations the optimizer took on.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_full(
-        &mut self,
-        prog: &Program,
-        inputs: &[InputValue],
-        kernels: &KernelRegistry,
-        mode: Mode,
-        threads: usize,
-        checks: &[CircuitCheck],
-        merges: &[MergeRecord],
-        par: &[ParSafetyRecord],
-    ) -> Result<(Vec<OutputValue>, Stats), String> {
-        let h = self.prepare_full(prog, kernels, checks, merges, par)?;
-        self.run_plan(h, inputs, kernels, mode, threads)
-    }
-
-    /// [`run_with_checks`](Session::run_with_checks) with a caller-supplied
-    /// release plan, lowered fresh and uncached. Tests use this to execute
-    /// under a *deliberately wrong* plan
-    /// ([`ReleasePlan::compute_skewed_early`]) and assert the checked
-    /// mode's use-after-release detector fires.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_with_plan(
-        &mut self,
-        prog: &Program,
-        inputs: &[InputValue],
-        kernels: &KernelRegistry,
-        mode: Mode,
-        threads: usize,
-        checks: &[CircuitCheck],
-        plan: &ReleasePlan,
-    ) -> Result<(Vec<OutputValue>, Stats), String> {
-        let lowered = lower_plan_with(prog, kernels, checks, plan)?;
-        execute_plan(&mut self.store, &lowered, inputs, kernels, mode, threads)
-    }
-
-    /// [`run_full`](Session::run_full) lowered fresh and uncached with
-    /// every carried release **skewed early**
-    /// ([`crate::plan::lower_plan_carried_skewed`]): the coloring pass's
-    /// mutation hook. The incoming ping-pong block is released right
-    /// after its replacement's `alloc`, before the body's analyzed last
-    /// use of it, so a checked-mode run must report the premature
-    /// release as a [`crate::Diagnostic::UseAfterRelease`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_carried_skewed(
-        &mut self,
-        prog: &Program,
-        inputs: &[InputValue],
-        kernels: &KernelRegistry,
-        mode: Mode,
-        threads: usize,
-        checks: &[CircuitCheck],
-        merges: &[MergeRecord],
-        par: &[ParSafetyRecord],
-    ) -> Result<(Vec<OutputValue>, Stats), String> {
-        let lowered = crate::plan::lower_plan_carried_skewed(prog, kernels, checks, merges, par)?;
-        execute_plan(&mut self.store, &lowered, inputs, kernels, mode, threads)
-    }
 }
 
-/// Execute a program in a one-shot [`Session`].
+/// Execute a compiled program in a one-shot [`Session`], lowering every
+/// runtime obligation its compile `report` recorded — merge and
+/// par-safety records always, circuit checks in [`Mode::Checked`]. A
+/// source program run in [`Mode::Pure`] passes `&Report::default()`.
 pub fn run_program(
     prog: &Program,
+    report: &Report,
     inputs: &[InputValue],
     kernels: &KernelRegistry,
     mode: Mode,
     threads: usize,
 ) -> Result<(Vec<OutputValue>, Stats), String> {
-    Session::new().run(prog, inputs, kernels, mode, threads)
+    let checks: Vec<CircuitCheck> = match mode {
+        Mode::Checked => report.checks().cloned().collect(),
+        _ => Vec::new(),
+    };
+    let mut session = Session::new();
+    let h = session.prepare_full(prog, kernels, &checks, &report.merges, &report.par_safety)?;
+    session.run_plan(h, inputs, kernels, mode, threads)
 }
 
 /// Releases everything a run left in its store — live blocks and
@@ -1607,7 +1504,13 @@ impl Machine<'_> {
                 ),
                 Op::ArithI64 { k, dst, a, b } => {
                     let (x, y) = (r[a as usize].as_i64(), r[b as usize].as_i64());
-                    (dst, Value::I64(arith_i64(k, x, y)))
+                    match arith_i64(k, x, y) {
+                        Some(v) => (dst, Value::I64(v)),
+                        None => {
+                            let why = if y == 0 { "by zero" } else { "overflow" };
+                            return Err(format!("{}: integer {k:?} {why}", self.stm_name()));
+                        }
+                    }
                 }
                 Op::ArithF32 { k, dst, a, b } => {
                     let (x, y) = (r[a as usize].as_f32(), r[b as usize].as_f32());
@@ -1633,8 +1536,8 @@ impl Machine<'_> {
                     let (x, y) = (r[a as usize].as_i64() != 0, r[b as usize].as_i64() != 0);
                     (dst, Value::Bool(if or { x || y } else { x && y }))
                 }
-                Op::NegI64 { dst, a } => (dst, Value::I64(-r[a as usize].as_i64())),
-                Op::AbsI64 { dst, a } => (dst, Value::I64(r[a as usize].as_i64().abs())),
+                Op::NegI64 { dst, a } => (dst, Value::I64(r[a as usize].as_i64().wrapping_neg())),
+                Op::AbsI64 { dst, a } => (dst, Value::I64(r[a as usize].as_i64().wrapping_abs())),
                 Op::MathF32 { k, dst, a } => {
                     (dst, Value::F32(math_float!(k, r[a as usize].as_f32())))
                 }
@@ -1697,16 +1600,18 @@ impl Machine<'_> {
     }
 }
 
-fn arith_i64(k: Arith, a: i64, b: i64) -> i64 {
-    match k {
-        Arith::Add => a + b,
-        Arith::Sub => a - b,
-        Arith::Mul => a * b,
-        Arith::Div => a.div_euclid(b),
-        Arith::Rem => a.rem_euclid(b),
+/// Integer arithmetic with two's-complement wrapping; `None` for a
+/// division or remainder by zero and for `i64::MIN / -1`.
+fn arith_i64(k: Arith, a: i64, b: i64) -> Option<i64> {
+    Some(match k {
+        Arith::Add => a.wrapping_add(b),
+        Arith::Sub => a.wrapping_sub(b),
+        Arith::Mul => a.wrapping_mul(b),
+        Arith::Div => a.checked_div_euclid(b)?,
+        Arith::Rem => a.checked_rem_euclid(b)?,
         Arith::Min => a.min(b),
         Arith::Max => a.max(b),
-    }
+    })
 }
 
 fn compare<T: PartialOrd>(k: Cmp, a: T, b: T) -> bool {

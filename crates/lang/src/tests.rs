@@ -22,8 +22,17 @@ fn run_both(
         &Options::optimized().with_env(elab.env.clone()),
     )
     .unwrap();
-    let (u, us) = run_program(&unopt.program, inputs, &kernels, Mode::Memory, 1).unwrap();
-    let (o, os) = run_program(&opt.program, inputs, &kernels, Mode::Memory, 1).unwrap();
+    let (u, us) = run_program(
+        &unopt.program,
+        &unopt.report,
+        inputs,
+        &kernels,
+        Mode::Memory,
+        1,
+    )
+    .unwrap();
+    let (o, os) =
+        run_program(&opt.program, &opt.report, inputs, &kernels, Mode::Memory, 1).unwrap();
     assert_eq!(u, o, "unopt and opt disagree");
     (u, us, os)
 }

@@ -57,7 +57,9 @@ use arraymem_exec::{
     PlanStats, SharedArena, Stats,
 };
 use arraymem_ir::Program;
+use std::any::Any;
 use std::collections::HashMap;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 
 /// Server tuning knobs. The defaults serve tests and small fleets; the
@@ -121,36 +123,21 @@ impl std::error::Error for ServerError {}
 
 /// One execution request: a program plus the compile report's runtime
 /// obligations, the inputs, and the mode. Borrowed — a request is cheap
-/// to build per call while programs/kernels/records live elsewhere.
+/// to build per call while programs/kernels/records live elsewhere. Built
+/// only by [`ExecRequest::from_compiled`], so a request always carries
+/// its compile's records.
 #[derive(Clone, Copy)]
 pub struct ExecRequest<'a> {
-    pub program: &'a Program,
-    pub kernels: &'a KernelRegistry,
-    pub checks: &'a [CircuitCheck],
-    pub merges: &'a [MergeRecord],
-    pub par: &'a [ParSafetyRecord],
-    pub inputs: &'a [InputValue],
-    pub mode: Mode,
+    program: &'a Program,
+    kernels: &'a KernelRegistry,
+    checks: &'a [CircuitCheck],
+    merges: &'a [MergeRecord],
+    par: &'a [ParSafetyRecord],
+    inputs: &'a [InputValue],
+    mode: Mode,
 }
 
 impl<'a> ExecRequest<'a> {
-    /// A plain `Mode::Memory` request with no runtime-obligation records.
-    pub fn new(
-        program: &'a Program,
-        kernels: &'a KernelRegistry,
-        inputs: &'a [InputValue],
-    ) -> ExecRequest<'a> {
-        ExecRequest {
-            program,
-            kernels,
-            checks: &[],
-            merges: &[],
-            par: &[],
-            inputs,
-            mode: Mode::Memory,
-        }
-    }
-
     /// A request carrying a compile's merge and par-safety records
     /// (checked-mode callers pass the collected circuit checks too —
     /// `Report::checks` yields borrows, so the caller owns the `Vec`).
@@ -170,6 +157,18 @@ impl<'a> ExecRequest<'a> {
             inputs,
             mode,
         }
+    }
+}
+
+/// The message a panic was raised with (`panic!` passes a `&str` or a
+/// `String`).
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        s
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s
+    } else {
+        "non-string panic payload"
     }
 }
 
@@ -284,14 +283,22 @@ impl Server {
             .map_err(ServerError::Prepare)?;
         let tenant = self.tenant(tenant);
         let mut st = tenant.state.lock().unwrap();
-        let result = execute_plan(
-            &mut st.store,
-            &plan,
-            req.inputs,
-            req.kernels,
-            req.mode,
-            self.config.threads,
-        );
+        // A panicking kernel unwinds out of `execute_plan`, whose run
+        // guard has already released the run's blocks; catching it here,
+        // inside the tenant lock, costs this request only and never
+        // poisons the lock.
+        let store = &mut st.store;
+        let result = panic::catch_unwind(AssertUnwindSafe(|| {
+            execute_plan(
+                store,
+                &plan,
+                req.inputs,
+                req.kernels,
+                req.mode,
+                self.config.threads,
+            )
+        }))
+        .unwrap_or_else(|payload| Err(format!("panicked: {}", panic_message(&*payload))));
         // End-of-run blocks feed the arena so any tenant's next
         // allocation can recycle them. A failed run released its blocks
         // exactly like a successful one, so they are donated too.

@@ -55,7 +55,7 @@ impl Case {
 
     /// Run a compiled variant in an existing session, so this run's
     /// allocations recycle blocks released by earlier runs and the plan
-    /// is lowered once, on the session's first `prepare`, then replayed
+    /// is lowered once, on the session's first `prepare_full`, then replayed
     /// from the cache.
     pub fn run_in(&self, session: &mut Session, compiled: &Compiled) -> (Vec<OutputValue>, Stats) {
         self.run_in_at(session, compiled, arraymem_exec::pool::default_threads())
@@ -264,7 +264,7 @@ pub fn measure_case_at(case: &Case, threads: usize) -> Measurement {
             t
         });
         let plan = session.plan_stats();
-        // The whole point of `prepare`: one lowering per variant, every
+        // The whole point of `prepare_full`: one lowering per variant, every
         // repeated run (warm-up included) served from the cache.
         let total_runs = case.runs.max(1) as u64 + 1;
         assert_eq!(

@@ -1,5 +1,5 @@
 use crate::{irregular, nw};
-use arraymem_core::{MergeReject, ParReject, RejectReason, RemarkKind};
+use arraymem_core::{MergeReject, ParReject, RejectReason, RemarkKind, Report};
 
 #[test]
 fn nw_small_validates_and_circuits() {
@@ -92,6 +92,7 @@ fn irregular_three_way_equivalence_across_threads() {
         for threads in [1usize, 2, 8] {
             let (pure_out, _) = arraymem_exec::run_program(
                 &case.program,
+                &Report::default(),
                 &case.inputs,
                 &case.kernels,
                 arraymem_exec::Mode::Pure,
@@ -223,7 +224,7 @@ fn irregular_checked_mode_flags_out_of_bounds_indices() {
     let kernels = KernelRegistry::new();
 
     for mode in [Mode::Pure, Mode::Memory] {
-        let r = arraymem_exec::run_program(&prog, &inputs, &kernels, mode, 1);
+        let r = arraymem_exec::run_program(&prog, &Report::default(), &inputs, &kernels, mode, 1);
         assert!(
             r.is_err(),
             "{mode:?}: out-of-bounds gather index must abort, got {r:?}"
@@ -233,9 +234,15 @@ fn irregular_checked_mode_flags_out_of_bounds_indices() {
     // Checked mode interprets memory annotations, so compile first.
     let compiled = arraymem_core::compile(&prog, &arraymem_core::Options::default())
         .expect("oob probe compiles");
-    let (out, stats) =
-        arraymem_exec::run_program(&compiled.program, &inputs, &kernels, Mode::Checked, 1)
-            .expect("checked mode records the finding and continues");
+    let (out, stats) = arraymem_exec::run_program(
+        &compiled.program,
+        &compiled.report,
+        &inputs,
+        &kernels,
+        Mode::Checked,
+        1,
+    )
+    .expect("checked mode records the finding and continues");
     let oob: Vec<_> = stats
         .diagnostics
         .iter()

@@ -65,6 +65,7 @@ fn main() {
     let data: Vec<f32> = (0..n * n).map(|i| i as f32).collect();
     let (out, stats) = run_program(
         &opt.program,
+        &opt.report,
         &[InputValue::I64(n as i64), InputValue::ArrayF32(data)],
         &KernelRegistry::new(),
         Mode::Memory,

@@ -47,22 +47,12 @@ echo "== corpus tier (committed fuzz corpus: all modes, 1 and 8 workers) =="
 cargo test --release --offline -p arraymem-bench --test differential_fuzz -q corpus_
 
 echo "== merge tier (block merging: workload peaks + on/off toggle fuzz) =="
-# Every workload runs merge-off, greedy merge, and merge-with-coloring
+# Every workload runs merge-off and merge-on (whole-program coloring)
 # through one session with bit-identical outputs and a strictly lower
 # peak wherever the pass engaged; the differential fuzzer then toggles
 # the pass per random program.
 cargo test --release --offline -p arraymem-bench --test merge_workloads -q
 cargo test --release --offline -p arraymem-bench --test differential_fuzz -q merge_toggle_equivalence
-
-echo "== coloring tier (whole-program coloring on/off, 1 and 8 workers) =="
-# ARRAYMEM_COLORING=0 holds Options::optimized() to the legacy greedy
-# pairwise merge; the default is whole-program coloring with per-color
-# arena slabs. The full suite must pass in both positions of the toggle
-# at both schedule widths — outputs may never depend on either knob.
-ARRAYMEM_COLORING=0 ARRAYMEM_THREADS=1 cargo test --release --offline --workspace -q
-ARRAYMEM_COLORING=0 ARRAYMEM_THREADS=8 cargo test --release --offline --workspace -q
-ARRAYMEM_THREADS=1 cargo test --release --offline -p arraymem-bench --test merge_workloads -q
-ARRAYMEM_THREADS=8 cargo test --release --offline -p arraymem-bench --test merge_workloads -q
 
 echo "== threads tier (suite at 1 worker and at 8 workers) =="
 # ARRAYMEM_THREADS pins the worker pool's default width: the whole test

@@ -7,10 +7,14 @@
 //! that was never rewritten, a release plan skewed one statement early, a
 //! map whose result index function collapses iterations onto one cell —
 //! and asserts the corresponding diagnostic fires and names the offending
-//! statement.
+//! statement. Sabotage of the runtime obligations themselves (a parallel
+//! verdict promoted to `Safe`, a carried release anchored too early) is
+//! done by editing the compile report's records before lowering.
 
-use arraymem_core::{compile, Options, ReleasePlan};
-use arraymem_exec::{Diagnostic, KernelRegistry, Mode, Session};
+use arraymem_core::{compile, Compiled, MergeRecord, Options, ReleasePlan};
+use arraymem_exec::{
+    execute_plan, lower_plan_with, run_program, Diagnostic, KernelRegistry, Mode, Session, Stats,
+};
 use arraymem_ir::{BinOp, Builder, ElemType, Exp, Program, ScalarExp, SliceSpec};
 use arraymem_lmad::{Dim, IndexFn, Lmad, Transform, TripletSlice};
 use arraymem_symbolic::Poly;
@@ -25,6 +29,20 @@ fn opts(short_circuit: bool) -> Options {
     } else {
         Options::default()
     }
+}
+
+/// One checked-mode run of `c` (no inputs, one worker) through `session`,
+/// lowering every record of its compile report.
+fn run_checked(session: &mut Session, c: &Compiled, kernels: &KernelRegistry) -> Stats {
+    let r = &c.report;
+    let checks: Vec<_> = r.checks().cloned().collect();
+    let h = session
+        .prepare_full(&c.program, kernels, &checks, &r.merges, &r.par_safety)
+        .expect("prepare");
+    let (_, stats) = session
+        .run_plan(h, &[], kernels, Mode::Checked, 1)
+        .expect("checked run");
+    stats
 }
 
 /// `xss[0:3] ← bs` while `y = copy xss[1:4]` still reads the overlap:
@@ -103,9 +121,15 @@ fn forced_illegal_short_circuit_is_caught_by_the_footprint_cross_check() {
         "forced circuits must still record their footprints"
     );
     let kernels = KernelRegistry::new();
-    let (_, stats) = Session::new()
-        .run_with_checks(&forced.program, &[], &kernels, Mode::Checked, 1, &checks)
-        .expect("checked run");
+    let (_, stats) = run_program(
+        &forced.program,
+        &forced.report,
+        &[],
+        &kernels,
+        Mode::Checked,
+        1,
+    )
+    .expect("checked run");
     let hit = stats.diagnostics.iter().find_map(|d| match d {
         Diagnostic::CircuitOverlap { stm, root, .. } => Some((stm.clone(), root.clone())),
         _ => None,
@@ -143,16 +167,12 @@ fn reading_a_recycled_never_written_block_is_an_uninit_read() {
     let compiled = compile(&prog, &opts(false)).expect("compile");
     let kernels = KernelRegistry::new();
     let mut session = Session::new();
-    let (_, first) = session
-        .run_with_checks(&compiled.program, &[], &kernels, Mode::Checked, 1, &[])
-        .expect("first run");
+    let first = run_checked(&mut session, &compiled, &kernels);
     assert!(
         first.diagnostics.is_empty(),
         "fresh blocks are zero-filled; nothing to report: {first}"
     );
-    let (_, second) = session
-        .run_with_checks(&compiled.program, &[], &kernels, Mode::Checked, 1, &[])
-        .expect("second run");
+    let second = run_checked(&mut session, &compiled, &kernels);
     let stm = second
         .diagnostics
         .iter()
@@ -185,22 +205,21 @@ fn skewed_release_plan_triggers_use_after_release() {
     let compiled = compile(&prog, &opts(false)).expect("compile");
     let kernels = KernelRegistry::new();
     // The honest plan is clean…
-    let (_, honest) = Session::new()
-        .run_with_checks(&compiled.program, &[], &kernels, Mode::Checked, 1, &[])
-        .expect("honest run");
+    let mut session = Session::new();
+    let honest = run_checked(&mut session, &compiled, &kernels);
     assert!(honest.diagnostics.is_empty(), "{honest}");
     // …the skewed plan is not.
-    let plan = ReleasePlan::compute_skewed_early(&compiled.program);
-    let (_, skewed) = Session::new()
-        .run_with_plan(
-            &compiled.program,
-            &[],
-            &kernels,
-            Mode::Checked,
-            1,
-            &[],
-            &plan,
-        )
+    let r = &compiled.report;
+    let plan = lower_plan_with(
+        &compiled.program,
+        &kernels,
+        &[],
+        &r.merges,
+        &r.par_safety,
+        &ReleasePlan::compute_skewed_early(&compiled.program),
+    )
+    .expect("lower");
+    let (_, skewed) = execute_plan(session.store_mut(), &plan, &[], &kernels, Mode::Checked, 1)
         .expect("skewed run");
     let (stm, released_after) = skewed
         .diagnostics
@@ -254,9 +273,7 @@ fn overlapping_map_result_layout_is_a_map_race() {
     }
     assert!(sabotaged, "test must find the map statement");
     let kernels = KernelRegistry::new();
-    let (_, stats) = Session::new()
-        .run_with_checks(&compiled.program, &[], &kernels, Mode::Checked, 1, &[])
-        .expect("checked run");
+    let stats = run_checked(&mut Session::new(), &compiled, &kernels);
     let hit = stats.diagnostics.iter().find_map(|d| match d {
         Diagnostic::MapRace {
             stm,
@@ -325,23 +342,12 @@ fn forced_illegal_merge_is_caught_by_the_merge_cross_check() {
     assert!(
         matches!(
             &forced.report.merges[0],
-            arraymem_core::MergeRecord::Share { pairs, .. } if !pairs.is_empty()
+            MergeRecord::Share { pairs, .. } if !pairs.is_empty()
         ),
         "a forced merge must carry footprint pairs for the VM to refute"
     );
     let kernels = KernelRegistry::new();
-    let (_, stats) = Session::new()
-        .run_full(
-            &forced.program,
-            &[],
-            &kernels,
-            Mode::Checked,
-            1,
-            &[],
-            &forced.report.merges,
-            &[],
-        )
-        .expect("checked run");
+    let stats = run_checked(&mut Session::new(), &forced, &kernels);
     let hit = stats.diagnostics.iter().find_map(|d| match d {
         Diagnostic::MergeOverlap { host, victim, .. } => Some((host.clone(), victim.clone())),
         _ => None,
@@ -368,11 +374,10 @@ fn forced_illegal_merge_is_caught_by_the_merge_cross_check() {
 }
 
 /// A map whose result layout collapses every iteration onto one cell:
-/// the `par_safety` analysis must reject it (`WriteOverlapNotProven`),
-/// the test-only `force_unsafe_parallel` hook must promote the rejected
-/// map to `Safe` anyway, and the checked VM's pre-dispatch re-proof must
-/// refute the forced verdict as a [`Diagnostic::ParOverlap`] and run the
-/// map serially.
+/// the `par_safety` analysis must reject it (`WriteOverlapNotProven`);
+/// promoting the rejected record to `Safe` before lowering, the checked
+/// VM's pre-dispatch re-proof must refute the promoted verdict as a
+/// [`Diagnostic::ParOverlap`] and run the map serially.
 #[test]
 fn forced_parallel_verdict_is_refuted_as_par_overlap() {
     use arraymem_core::par_safety::par_safety;
@@ -416,39 +421,29 @@ fn forced_parallel_verdict_is_refuted_as_par_overlap() {
     assert!(sabotaged, "test must find the map statement");
     // Re-analysing the sabotaged program rejects the map...
     let env = arraymem_symbolic::Env::default();
-    let honest = par_safety(&compiled.program, &env, false);
+    let mut forced = par_safety(&compiled.program, &env);
     assert!(
-        honest
+        forced
             .iter()
             .any(|r| r.level == ParLevel::Serial
                 && r.reject == Some(ParReject::WriteOverlapNotProven)),
-        "{honest:?}"
+        "{forced:?}"
     );
-    // ...and the mutation hook forces it through, keeping the genuine
-    // rejection reason for the remark.
-    let forced = par_safety(&compiled.program, &env, true);
-    let fr = forced
-        .iter()
-        .find(|r| r.forced)
-        .expect("the hook must force the rejected map");
-    assert_eq!(fr.level, ParLevel::Safe);
-    assert_eq!(fr.reject, Some(ParReject::WriteOverlapNotProven));
+    // ...and the promoted record claims it safe anyway.
+    for r in &mut forced {
+        r.level = ParLevel::Safe;
+    }
     let mut kernels = KernelRegistry::new();
     kernels.register("bump", |ctx| {
         let v = ctx.inputs[0].get_i64(&[ctx.i]);
         ctx.out.set_i64(&[], v + 1);
     });
-    let (_, stats) = Session::new()
-        .run_full(
-            &compiled.program,
-            &[],
-            &kernels,
-            Mode::Checked,
-            4,
-            &[],
-            &[],
-            &forced,
-        )
+    let mut session = Session::new();
+    let h = session
+        .prepare_full(&compiled.program, &kernels, &[], &[], &forced)
+        .expect("prepare");
+    let (_, stats) = session
+        .run_plan(h, &[], &kernels, Mode::Checked, 4)
         .expect("checked run");
     let hit = stats.diagnostics.iter().find_map(|d| match d {
         Diagnostic::ParOverlap {
@@ -483,50 +478,27 @@ fn forced_parallel_verdict_is_refuted_as_par_overlap() {
     );
 }
 
-/// `force_unsafe_parallel` flows through [`Options`] into the pipeline:
 /// NW's diagonal mapnest — which the analysis genuinely rejects — is
-/// promoted to `Safe`, and the checked VM re-proves the promoted verdict
-/// concretely before dispatching. NW's per-iteration writes *are*
-/// disjoint (only the symbolic proof is out of reach), so the re-proof
-/// verifies the promotion and the outputs stay identical.
+/// promoted to `Safe` in the compile report before lowering, and the
+/// checked VM re-proves the promoted verdict concretely before
+/// dispatching. NW's per-iteration writes *are* disjoint (only the
+/// symbolic proof is out of reach), so the re-proof verifies the
+/// promotion and the outputs stay identical.
 #[test]
-fn options_force_unsafe_parallel_promotes_rejected_maps() {
+fn promoted_parallel_records_are_reproved_before_dispatch() {
     use arraymem_core::ParLevel;
     let case = arraymem_workloads::nw::case("forced", 16, 16, 2);
-    let honest = compile(
-        &case.program,
-        &Options::optimized().with_env(case.env.clone()),
-    )
-    .expect("compile");
-    assert!(
-        honest
-            .report
-            .par_safety
-            .iter()
-            .any(|r| r.level == ParLevel::Serial),
-        "{:?}",
-        honest.report.par_safety
-    );
-    assert!(honest.report.par_safety.iter().all(|r| !r.forced));
-    let forced = compile(
-        &case.program,
-        &Options {
-            force_unsafe_parallel: true,
-            ..Options::optimized().with_env(case.env.clone())
-        },
-    )
-    .expect("compile");
-    let promoted: Vec<_> = forced
-        .report
-        .par_safety
-        .iter()
-        .filter(|r| r.forced)
-        .collect();
-    assert!(
-        !promoted.is_empty(),
-        "the hook must promote NW's rejected map"
-    );
-    assert!(promoted.iter().all(|r| r.level == ParLevel::Safe));
+    let opts = Options::optimized().with_env(case.env.clone());
+    let honest = compile(&case.program, &opts).expect("compile");
+    let mut forced = compile(&case.program, &opts).expect("compile");
+    let mut promoted = 0;
+    for r in &mut forced.report.par_safety {
+        if r.level == ParLevel::Serial {
+            r.level = ParLevel::Safe;
+            promoted += 1;
+        }
+    }
+    assert!(promoted > 0, "{:?}", honest.report.par_safety);
     let mut s1 = Session::new();
     let (honest_out, honest_stats) = case.run_checked_in_at(&mut s1, &honest, 4);
     let mut s2 = Session::new();
@@ -550,42 +522,43 @@ fn options_force_unsafe_parallel_promotes_rejected_maps() {
 }
 
 /// The coloring pass's carried-release records are real claims about
-/// loop-carried lifetimes, and checked mode must re-prove them: the
-/// test-only skewed lowering anchors each `ReleaseCarried` at the yield
-/// allocation — *before* the loop body has finished reading the carried
-/// block — and the sanitizer must catch the resulting read.
+/// loop-carried lifetimes, and checked mode must re-prove them: anchoring
+/// each carried release at the yield allocation (`after_stm =
+/// yield_mem`) — *before* the loop body has finished reading the carried
+/// block — the sanitizer must catch the resulting read.
 #[test]
 fn skewed_carried_release_triggers_use_after_release() {
     let case = arraymem_workloads::hotspot::case("64", 64, 6, 2);
-    let opts = Options {
-        coloring: true,
-        ..Options::optimized()
-    }
-    .with_env(case.env.clone());
+    let opts = Options::optimized().with_env(case.env.clone());
     let compiled = compile(&case.program, &opts).expect("compile");
     assert!(
         compiled
             .report
             .merges
             .iter()
-            .any(|r| matches!(r, arraymem_core::MergeRecord::CarriedRelease { .. })),
+            .any(|r| matches!(r, MergeRecord::CarriedRelease { .. })),
         "hotspot's ping-pong loop must produce a carried-release record"
     );
-    let checks: Vec<_> = compiled.report.checks().cloned().collect();
+    let r = &compiled.report;
+    let checks: Vec<_> = r.checks().cloned().collect();
+    let run = |merges: &[MergeRecord]| {
+        let mut session = Session::new();
+        let h = session
+            .prepare_full(
+                &compiled.program,
+                &case.kernels,
+                &checks,
+                merges,
+                &r.par_safety,
+            )
+            .expect("prepare");
+        let (_, stats) = session
+            .run_plan(h, &case.inputs, &case.kernels, Mode::Checked, 1)
+            .expect("checked run");
+        stats
+    };
     // The honest lowering is clean under the sanitizer…
-    let mut honest = Session::new();
-    let h = honest
-        .prepare_full(
-            &compiled.program,
-            &case.kernels,
-            &checks,
-            &compiled.report.merges,
-            &compiled.report.par_safety,
-        )
-        .expect("prepare");
-    let (_, honest_stats) = honest
-        .run_plan(h, &case.inputs, &case.kernels, Mode::Checked, 1)
-        .expect("honest run");
+    let honest_stats = run(&r.merges);
     assert!(honest_stats.diagnostics.is_empty(), "{honest_stats}");
     assert!(
         honest_stats.carried_releases > 0,
@@ -593,18 +566,18 @@ fn skewed_carried_release_triggers_use_after_release() {
     );
     // …the skewed one is not: the carried block is parked in its color
     // slab while the stencil still reads it.
-    let (_, skewed) = Session::new()
-        .run_carried_skewed(
-            &compiled.program,
-            &case.inputs,
-            &case.kernels,
-            Mode::Checked,
-            1,
-            &checks,
-            &compiled.report.merges,
-            &compiled.report.par_safety,
-        )
-        .expect("skewed run");
+    let mut skewed_merges = r.merges.clone();
+    for m in &mut skewed_merges {
+        if let MergeRecord::CarriedRelease {
+            yield_mem,
+            after_stm,
+            ..
+        } = m
+        {
+            *after_stm = *yield_mem;
+        }
+    }
+    let skewed = run(&skewed_merges);
     assert!(
         skewed
             .diagnostics

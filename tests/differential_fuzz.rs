@@ -19,7 +19,7 @@
 //! Set `ARRAYMEM_SLOW=1` to raise the iteration counts ~3-5x.
 
 use arraymem_bench::tables::{table_cases, KNOWN_BENCHMARKS};
-use arraymem_core::{compile, MergeReject, Options, ParReject, RejectReason, RemarkKind};
+use arraymem_core::{compile, MergeReject, Options, ParReject, RejectReason, RemarkKind, Report};
 use arraymem_exec::{run_program, KernelRegistry, Mode, Session};
 use arraymem_fuzz::corpus::{self, CorpusEntry};
 use arraymem_fuzz::diff::fail_with_repro;
@@ -27,15 +27,19 @@ use arraymem_fuzz::{build_program, minimize, random_ops, run_all_modes, Coverage
 use arraymem_symbolic::Rng64;
 use arraymem_workloads::harness::scale;
 
-/// Whether the optimized compile merged any memory blocks. The compile
-/// report is the authoritative signal: `Stats::blocks_merged` counts
-/// lowered merge *records*, which the record-less `run_program` entry
-/// point never receives.
+/// Whether the optimized compile merged any memory blocks: the optimized
+/// Memory leg lowers the report's merge records, so its run stamps them
+/// onto `Stats::blocks_merged`, and the count must agree with the
+/// compile's remarks.
 fn merged_in_report(r: &arraymem_fuzz::DiffReport) -> bool {
-    r.opt_report
+    let merged = r
+        .opt_report
         .remarks
         .iter()
-        .any(|rm| matches!(rm.kind, RemarkKind::BlocksMerged))
+        .filter(|rm| matches!(rm.kind, RemarkKind::BlocksMerged))
+        .count() as u64;
+    assert_eq!(r.opt_stats.blocks_merged, merged, "lowered merge records");
+    merged > 0
 }
 
 /// Build + run one trace through every semantics, reusing the shared
@@ -193,7 +197,7 @@ fn corpus_replays_clean_in_every_mode() {
     );
     let mut checked = Session::new();
     let mut par = Session::new();
-    let mut carried = 0usize;
+    let (mut carried, mut carried_in_memory_leg) = (0usize, 0usize);
     for entry in seeds.iter().chain(regressions.iter()) {
         let prog = build_program(&entry.ops)
             .unwrap_or_else(|| panic!("corpus entry {} builds no program", entry.name));
@@ -206,6 +210,9 @@ fn corpus_replays_clean_in_every_mode() {
                 {
                     carried += 1;
                 }
+                if r.opt_stats.carried_releases > 0 {
+                    carried_in_memory_leg += 1;
+                }
             }
             Err(e) => fail_with_repro(
                 &e,
@@ -216,8 +223,12 @@ fn corpus_replays_clean_in_every_mode() {
         }
     }
     assert!(
-        carried > 0 || !arraymem_core::coloring_default(),
+        carried > 0,
         "no corpus entry exercises the coloring pass's carried-release scheduling"
+    );
+    assert!(
+        carried_in_memory_leg > 0,
+        "the optimized Memory leg never ran a carried release"
     );
 }
 
@@ -364,7 +375,7 @@ fn injected_merge_diverges(ops: &[GenOp]) -> bool {
         return false;
     };
     let kernels = KernelRegistry::new();
-    if run_program(&prog, &[], &kernels, Mode::Pure, 1).is_err() {
+    if run_program(&prog, &Report::default(), &[], &kernels, Mode::Pure, 1).is_err() {
         return false;
     }
     let mut opts = Options::optimized();
@@ -412,14 +423,22 @@ fn replay_forced_merge_child() {
         return;
     };
     let kernels = KernelRegistry::new();
-    let Ok((pure_out, _)) = run_program(&prog, &[], &kernels, Mode::Pure, 1) else {
+    let Ok((pure_out, _)) = run_program(&prog, &Report::default(), &[], &kernels, Mode::Pure, 1)
+    else {
         println!("FORCED-MERGE-CLEAN");
         return;
     };
     let mut opts = Options::optimized();
     opts.force_unsafe_merge = true;
     let compiled = compile(&prog, &opts).expect("parent pre-filtered the compile");
-    match run_program(&compiled.program, &[], &kernels, Mode::Memory, 1) {
+    match run_program(
+        &compiled.program,
+        &compiled.report,
+        &[],
+        &kernels,
+        Mode::Memory,
+        1,
+    ) {
         Ok((out, _)) if out == pure_out => println!("FORCED-MERGE-CLEAN"),
         _ => println!("FORCED-MERGE-DIVERGED"),
     }
@@ -775,7 +794,7 @@ fn direct_pass_constructions(cov: &mut Coverage) {
     };
     let env = Env::default();
     let harvest_par = |cov: &mut Coverage, prog: &arraymem_ir::Program| {
-        for r in par_safety(prog, &env, false) {
+        for r in par_safety(prog, &env) {
             if let Some(why) = r.reject {
                 cov.par_rejects.insert(why);
             }
@@ -875,7 +894,7 @@ fn direct_pass_constructions(cov: &mut Coverage) {
         .find_map(|s| matches!(s.exp, Exp::Alloc { .. }).then(|| s.pat[0].var))
         .expect("compiled program has an alloc");
     compiled.program.body.result.push(block_var);
-    let report = merge_blocks(&mut compiled.program, &env, true, false);
+    let report = merge_blocks(&mut compiled.program, &env, false);
     for (_, why) in &report.rejected {
         cov.merge_rejects.insert(*why);
     }

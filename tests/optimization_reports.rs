@@ -30,6 +30,7 @@ fn nw_without_env_fails_conservatively() {
     // And it still computes the right answer.
     let (out, _) = arraymem_exec::run_program(
         &compiled.program,
+        &compiled.report,
         &case.inputs,
         &case.kernels,
         arraymem_exec::Mode::Memory,
@@ -210,6 +211,7 @@ fn ablation_no_hoisting_defeats_hotspot_concat() {
     // Still correct.
     let (out, _) = arraymem_exec::run_program(
         &compiled.program,
+        &compiled.report,
         &case.inputs,
         &case.kernels,
         arraymem_exec::Mode::Memory,
@@ -234,6 +236,7 @@ fn ablation_no_mapnest_restores_row_copies() {
     assert_eq!(compiled.report.in_place_maps, 0);
     let (out, stats) = arraymem_exec::run_program(
         &compiled.program,
+        &compiled.report,
         &case.inputs,
         &case.kernels,
         arraymem_exec::Mode::Memory,

@@ -4,6 +4,7 @@
 //! end-to-end statement of the paper's "memory annotations have no
 //! semantic meaning" invariant.
 
+use arraymem_core::Report;
 use arraymem_exec::{run_program, Mode};
 use arraymem_workloads as w;
 
@@ -11,8 +12,15 @@ fn check(case: &w::Case) {
     // Reference vs both memory-mode variants.
     let (u_stats, o_stats) = case.validate();
     // Pure mode vs reference, on the *source* program.
-    let (pure_out, _) =
-        run_program(&case.program, &case.inputs, &case.kernels, Mode::Pure, 1).expect("pure run");
+    let (pure_out, _) = run_program(
+        &case.program,
+        &Report::default(),
+        &case.inputs,
+        &case.kernels,
+        Mode::Pure,
+        1,
+    )
+    .expect("pure run");
     let (_, expect) = (case.reference)(&case.inputs);
     for (e, p) in expect.iter().zip(&pure_out) {
         assert!(

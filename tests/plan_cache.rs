@@ -1,6 +1,6 @@
 //! Plan-cache correctness: a cache hit must replay the *same* plan.
 //!
-//! For every workload, a cold `prepare` + run and a warm (cache-hit) run
+//! For every workload, a cold `prepare_full` + run and a warm (cache-hit) run
 //! in the same session must produce bit-identical outputs — in plain
 //! memory mode and under the checked-mode sanitizer. A golden snapshot of
 //! the lowered NW instruction stream pins the plan format itself, so an
@@ -8,8 +8,18 @@
 //! silent perf or semantics shift. Re-bless with `ARRAYMEM_BLESS=1`.
 
 use arraymem_bench::tables::{table_cases, KNOWN_BENCHMARKS};
-use arraymem_exec::{Mode, Session};
+use arraymem_core::Compiled;
+use arraymem_exec::{KernelRegistry, Mode, PlanHandle, Session};
 use arraymem_workloads as w;
+
+/// Prepare a compiled program with its report's merge and par-safety
+/// records (no circuit checks).
+fn prepare(session: &mut Session, c: &Compiled, kernels: &KernelRegistry) -> PlanHandle {
+    let r = &c.report;
+    session
+        .prepare_full(&c.program, kernels, &[], &r.merges, &r.par_safety)
+        .expect("prepare")
+}
 
 /// Cold-vs-warm equivalence for one mode. The *same* session serves both
 /// runs, so the warm run also recycles the cold run's released blocks —
@@ -22,8 +32,15 @@ fn fresh_vs_cached(mode: Mode) {
         let threads = if matches!(mode, Mode::Checked) { 1 } else { 2 };
         let mut session = Session::new();
         let run = |s: &mut Session| {
+            let r = &compiled.report;
             let h = s
-                .prepare_with_checks(&compiled.program, &case.kernels, &checks)
+                .prepare_full(
+                    &compiled.program,
+                    &case.kernels,
+                    &checks,
+                    &r.merges,
+                    &r.par_safety,
+                )
                 .expect("prepare");
             s.run_plan(h, &case.inputs, &case.kernels, mode, threads)
                 .expect("run")
@@ -76,21 +93,11 @@ fn distinct_programs_do_not_collide() {
     let ca = a.compile(true);
     let cb = b.compile(true);
     let mut session = Session::new();
-    let ha = session.prepare(&ca.program, &a.kernels).expect("prepare a");
-    let hb = session.prepare(&cb.program, &b.kernels).expect("prepare b");
+    let ha = prepare(&mut session, &ca, &a.kernels);
+    let hb = prepare(&mut session, &cb, &b.kernels);
     assert_ne!(ha, hb, "different programs must not share a plan");
-    assert_eq!(
-        session
-            .prepare(&ca.program, &a.kernels)
-            .expect("re-prepare a"),
-        ha
-    );
-    assert_eq!(
-        session
-            .prepare(&cb.program, &b.kernels)
-            .expect("re-prepare b"),
-        hb
-    );
+    assert_eq!(prepare(&mut session, &ca, &a.kernels), ha);
+    assert_eq!(prepare(&mut session, &cb, &b.kernels), hb);
     let stats = session.plan_stats();
     assert_eq!((stats.builds, stats.cache_hits), (2, 2));
 }
@@ -144,7 +151,7 @@ fn pass_configuration_is_part_of_the_cache_key() {
     let mut session = Session::new();
     let handles: Vec<_> = compiled
         .iter()
-        .map(|c| session.prepare(&c.program, &kernels).expect("prepare"))
+        .map(|c| prepare(&mut session, c, &kernels))
         .collect();
     for (i, hi) in handles.iter().enumerate() {
         for hj in &handles[i + 1..] {
@@ -159,10 +166,7 @@ fn pass_configuration_is_part_of_the_cache_key() {
     );
     // Re-preparing any of them is a pure cache hit.
     for (c, h) in compiled.iter().zip(&handles) {
-        assert_eq!(
-            session.prepare(&c.program, &kernels).expect("re-prepare"),
-            *h
-        );
+        assert_eq!(prepare(&mut session, c, &kernels), *h);
     }
     let stats = session.plan_stats();
     assert_eq!((stats.builds, stats.cache_hits), (4, 4));
@@ -210,15 +214,10 @@ fn merge_toggle_is_part_of_the_cache_key() {
     // either is a pure hit.
     let kernels = arraymem_exec::KernelRegistry::default();
     let mut session = Session::new();
-    let h_on = session.prepare(&on.program, &kernels).expect("prepare on");
-    let h_off = session
-        .prepare(&off.program, &kernels)
-        .expect("prepare off");
+    let h_on = prepare(&mut session, &on, &kernels);
+    let h_off = prepare(&mut session, &off, &kernels);
     assert_ne!(h_on, h_off, "merge toggle must miss the plan cache");
-    assert_eq!(
-        session.prepare(&on.program, &kernels).expect("re-prepare"),
-        h_on
-    );
+    assert_eq!(prepare(&mut session, &on, &kernels), h_on);
     let stats = session.plan_stats();
     assert_eq!((stats.builds, stats.cache_hits), (2, 1));
 }
@@ -266,19 +265,11 @@ fn par_safety_toggle_is_part_of_the_cache_key() {
     // either is a pure hit.
     let kernels = arraymem_exec::KernelRegistry::default();
     let mut session = Session::new();
-    let h_on = session.prepare(&on.program, &kernels).expect("prepare on");
-    let h_off = session
-        .prepare(&off.program, &kernels)
-        .expect("prepare off");
+    let h_on = prepare(&mut session, &on, &kernels);
+    let h_off = prepare(&mut session, &off, &kernels);
     assert_ne!(h_on, h_off, "par_safety toggle must miss the plan cache");
-    assert_eq!(
-        session.prepare(&on.program, &kernels).expect("re-prepare"),
-        h_on
-    );
-    assert_eq!(
-        session.prepare(&off.program, &kernels).expect("re-prepare"),
-        h_off
-    );
+    assert_eq!(prepare(&mut session, &on, &kernels), h_on);
+    assert_eq!(prepare(&mut session, &off, &kernels), h_off);
     let stats = session.plan_stats();
     assert_eq!((stats.builds, stats.cache_hits), (2, 2));
 }
@@ -290,9 +281,11 @@ fn par_safety_toggle_is_part_of_the_cache_key() {
 fn nw_plan_snapshot() {
     let case = w::nw::case("snap", 2, 3, 1);
     let compiled = case.compile(true);
+    // Lowered without the report's records: the snapshot pins the plan
+    // format, so par verdicts (`par-safe`/`par-serial` suffixes) stay out.
     let mut session = Session::new();
     let h = session
-        .prepare(&compiled.program, &case.kernels)
+        .prepare_full(&compiled.program, &case.kernels, &[], &[], &[])
         .expect("prepare");
     let got = session.plan(h).pretty();
     let path =
